@@ -43,11 +43,6 @@ const USAGE: &str = "usage: hetgc-perfbench --workload <sim-b16|threaded-het4|so
 /// changes between runs.
 const MIN_INTERVALS: usize = 200;
 const MAX_INTERVALS: usize = 999;
-/// Set-ups measured per run, counting the repetitions' own: cheap
-/// set-ups are repeated on their own until there are this many.
-const SETUP_SAMPLES: usize = 64;
-/// Set-ups slower than this are only measured inside repetitions.
-const CHEAP_SETUP_S: f64 = 0.05;
 
 struct Args {
     kind: Kind,
@@ -236,7 +231,7 @@ fn run(args: &Args) -> Result<Outcome, String> {
     let mut reps: Vec<Rep> = Vec::new();
     loop {
         let traced = args.trace && reps.len() % 2 == 1;
-        let rep = workload::run_rep(&inp, traced, inp.rounds);
+        let rep = workload::run_rep(&inp, traced);
         let failed = rep.error.is_some();
         reps.push(rep);
         let n = reps.len();
@@ -244,14 +239,6 @@ fn run(args: &Args) -> Result<Outcome, String> {
         if failed || n >= max_reps || (enough && started.elapsed() >= budget) {
             break;
         }
-    }
-    let mut setups: Vec<f64> = reps.iter().map(|r| r.setup_s).collect();
-    while setups.len() < SETUP_SAMPLES && median(&setups) < CHEAP_SETUP_S {
-        let rep = workload::run_rep(&inp, false, 0);
-        if let Some(e) = rep.error {
-            return Err(format!("set-up failed: {e}"));
-        }
-        setups.push(rep.setup_s);
     }
 
     let mut correct = reference_ok;
@@ -313,7 +300,7 @@ fn run(args: &Args) -> Result<Outcome, String> {
             args.kind, &reps, &checks, solve_ms, codec_ns, attempted, failed,
         )
     } else {
-        end_to_end(&reps, &setups)?
+        end_to_end(&reps)?
     };
     let outcome = Outcome {
         correct,
@@ -325,9 +312,10 @@ fn run(args: &Args) -> Result<Outcome, String> {
     Ok(outcome)
 }
 
-fn end_to_end(reps: &[Rep], setups: &[f64]) -> Result<Vec<(String, f64, String)>, String> {
-    // Rates are medians over repetitions: a burst of host contention
-    // slows one repetition, not the run.
+fn end_to_end(reps: &[Rep]) -> Result<Vec<(String, f64, String)>, String> {
+    // Set-up and rates are medians over repetitions: a burst of host
+    // contention slows one repetition, not the run. Each repetition sets
+    // its engine up once, after the previous one was torn down.
     let per_rep = |f: &dyn Fn(&Rep) -> f64| median(&reps.iter().map(f).collect::<Vec<f64>>());
     let intervals: Vec<f64> = reps
         .iter()
@@ -340,7 +328,7 @@ fn end_to_end(reps: &[Rep], setups: &[f64]) -> Result<Vec<(String, f64, String)>
         )
     })?;
     let values = [
-        median(setups),
+        per_rep(&|r| r.setup_s),
         per_rep(&|r| r.completed as f64 / r.loop_s),
         median(&intervals),
         percentile(&intervals, tail),
@@ -348,11 +336,9 @@ fn end_to_end(reps: &[Rep], setups: &[f64]) -> Result<Vec<(String, f64, String)>
         sys::peak_rss_mb()?,
     ];
     println!(
-        "round_ms_tail: p{tail} of {} round intervals over {} repetitions; \
-         setup_s: median of {} set-ups",
+        "round_ms_tail: p{tail} of {} round intervals over {} repetitions",
         intervals.len(),
-        reps.len(),
-        setups.len()
+        reps.len()
     );
     Ok(named(END_TO_END, &values))
 }

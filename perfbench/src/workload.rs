@@ -329,13 +329,12 @@ pub struct Rep {
     pub recorder_trace: Option<String>,
 }
 
-/// Runs one repetition of `inp`'s workload, traced or not; with
-/// `rounds = 0` it only sets the engine up and tears it down.
-pub fn run_rep(inp: &Inputs, traced: bool, rounds: usize) -> Rep {
+/// Runs one repetition of `inp`'s workload, traced or not.
+pub fn run_rep(inp: &Inputs, traced: bool) -> Rep {
     let tracer = traced.then(|| Arc::new(Tracer::new()));
     let mut rep = Rep {
         traced,
-        attempted: rounds as u64,
+        attempted: inp.rounds as u64,
         ..Rep::default()
     };
     let result = match inp.kind {
@@ -386,9 +385,6 @@ fn rep_sim(inp: &Inputs, tracer: Option<Arc<Tracer>>, rep: &mut Rep) -> Result<(
     )?
     .with_drift(drift);
     rep.setup_s = started.elapsed().as_secs_f64();
-    if rep.attempted == 0 {
-        return Ok(());
-    }
 
     let mut engine = TracedEngine::new(engine, tracer.clone());
     let outcome = drive(&mut engine, &model, inp, tracer.as_ref(), &[], rep);
@@ -412,9 +408,6 @@ fn rep_threaded(inp: &Inputs, tracer: Option<Arc<Tracer>>, rep: &mut Rep) -> Res
     let code = inp.code()?;
     let engine = ThreadedEngine::new(code, Arc::clone(&model), Arc::clone(&inp.data), &config)?;
     rep.setup_s = started.elapsed().as_secs_f64();
-    if rep.attempted == 0 {
-        return Ok(());
-    }
 
     let mut engine = TracedEngine::new(engine, tracer.clone());
     let outcome = drive(&mut engine, &*model, inp, tracer.as_ref(), &[], rep);
@@ -454,9 +447,6 @@ fn rep_socket(inp: &Inputs, tracer: Option<Arc<Tracer>>, rep: &mut Rep) -> Resul
     }
     let engine = SocketEngine::new(cluster);
     rep.setup_s = started.elapsed().as_secs_f64();
-    if rep.attempted == 0 {
-        return Ok(());
-    }
 
     let mut engine = TracedEngine::new(engine, tracer.clone());
     let frames_before = frames(&engine.inner);
