@@ -38,12 +38,6 @@ static ALLOCATOR: alloc::Counting = alloc::Counting;
 const USAGE: &str = "usage: hetgc-perfbench --workload <sim-b16|threaded-het4|socket-wide-int8> \
                      --seed <n> --seconds <s> --trace <0|1> [--out <dir>]";
 
-/// Round intervals one run pools: the tail percentile (the highest with
-/// ten samples beyond it) is p95 anywhere in this range, so it never
-/// changes between runs.
-const MIN_INTERVALS: usize = 200;
-const MAX_INTERVALS: usize = 999;
-
 struct Args {
     kind: Kind,
     seed: u64,
@@ -226,8 +220,9 @@ fn run(args: &Args) -> Result<Outcome, String> {
 
     let budget = Duration::from_secs_f64(args.seconds);
     let started = Instant::now();
-    let min_reps = MIN_INTERVALS.div_ceil(inp.rounds);
-    let max_reps = MAX_INTERVALS / inp.rounds;
+    let (min_intervals, max_intervals) = inp.intervals;
+    let min_reps = min_intervals.div_ceil(inp.rounds);
+    let max_reps = max_intervals / inp.rounds;
     let mut reps: Vec<Rep> = Vec::new();
     loop {
         let traced = args.trace && reps.len() % 2 == 1;

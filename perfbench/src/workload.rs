@@ -90,6 +90,8 @@ const SIM_DRIFTING: [usize; 4] = [1, 5, 13, 15];
 /// work: it moved by up to 30% between traces, so every seed replays the
 /// same trace, and the seed varies the data and the code coefficients.
 const SIM_TRACE_SEED: u64 = 0x5eed;
+/// Round intervals a sim-b16 run pools: its tail is p99.
+const SIM_INTERVALS: (usize, usize) = (1_000, 9_999);
 
 // threaded-het4 and socket-wide-int8: 4 workers throttled 1:1:2:4 on a
 // heter-aware code with k = 16, s = 1; every worker's throttle target is
@@ -118,6 +120,8 @@ const SOCKET_LR: f64 = 2e-5;
 const SOCKET_RATE: f64 = 400.0;
 
 const CLASSES: usize = 10;
+/// Round intervals a throttled run pools: its tail is p95.
+const INTERVALS: (usize, usize) = (200, 999);
 
 /// Relative parameter distance to the reference allowed on a lossless
 /// (f64) data plane.
@@ -145,6 +149,10 @@ pub struct Inputs {
     pub run_seed: u64,
     /// Relative parameter and loss tolerances against the reference.
     pub tolerance: (f64, f64),
+    /// Fewest and most round intervals one run pools. The tail
+    /// percentile (the highest with ten samples beyond it) is the same
+    /// anywhere in the range, so it never changes between runs.
+    pub intervals: (usize, usize),
 }
 
 impl Inputs {
@@ -202,6 +210,10 @@ impl Inputs {
                 _ => seed.wrapping_add(2),
             },
             tolerance,
+            intervals: match kind {
+                Kind::SimB16 => SIM_INTERVALS,
+                _ => INTERVALS,
+            },
         })
     }
 
