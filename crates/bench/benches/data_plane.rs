@@ -6,6 +6,10 @@
 //!   owned vectors) vs `apply_into` straight over the arrival block;
 //! * `data_plane/decode_large` — whole-round decode at d = 65 536:
 //!   per-row scalar combine vs the cache-blocked plan-matrix product;
+//! * `data_plane/encode_decode` — the master's whole encode → decode at
+//!   the `sim-b16` shape (d = 64 010, k = 58): `encode_into` per plan
+//!   worker into an arrival block then `apply_block_into`, against the
+//!   fused, column-tiled `CompiledCodec::decode_partials_into`;
 //! * `data_plane/round`   — a full master collect round: legacy `push`
 //!   (fresh plan per round) vs zero-alloc `push_arrival`/`decoded_plan`;
 //! * `data_plane/driver`  — sequential `TrainDriver` vs double-buffered
@@ -22,8 +26,9 @@ use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hetgc::{
-    heter_aware, synthetic, CompiledCodec, Dataset, GradientBlock, GradientCodec, LinearRegression,
-    Model, PipelinedDriver, RuntimeConfig, Sgd, ThreadedEngine, TrainDriver, WorkerBehavior,
+    heter_aware, synthetic, ClusterSpec, CompiledCodec, Dataset, GradientBlock, GradientCodec,
+    LinearRegression, Model, PipelinedDriver, RuntimeConfig, SchemeBuilder, SchemeKind, Sgd,
+    ThreadedEngine, TrainDriver, WorkerBehavior,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -162,6 +167,63 @@ fn bench_decode_large(c: &mut Criterion) {
     group.finish();
 }
 
+/// The master-side encode → decode of one simulated round at the
+/// `sim-b16` shape: Cluster-B's 16 workers, heter-aware `s = 2` (the
+/// builder picks `k = 58` partitions) over a `d = 64 010` gradient. The two-pass
+/// route writes every plan worker's coded gradient into an `m × d`
+/// arrival block and reads it back to decode; the fused call builds each
+/// coded tile in a stack scratch and folds it into the output while it
+/// is still in cache. Panics (failing the job) if the two ever differ by
+/// a single bit.
+fn bench_encode_decode(c: &mut Criterion) {
+    const SIM_DIM: usize = 64_010;
+    let mut rng = StdRng::seed_from_u64(5);
+    let codec = SchemeBuilder::new(&ClusterSpec::cluster_b(), 2)
+        .build(SchemeKind::HeterAware, &mut rng)
+        .unwrap()
+        .compile();
+    let (m, k) = (codec.workers(), codec.partitions());
+    let mut partials = GradientBlock::new(k, SIM_DIM);
+    for x in partials.as_mut_slice() {
+        *x = rng.gen_range(-2.0..2.0);
+    }
+    let survivors: Vec<usize> = (2..m).collect(); // two stragglers
+    let plan = codec.decode_plan(&survivors).unwrap();
+    let mut arrivals = GradientBlock::new(m, SIM_DIM);
+    let mut two_pass = vec![0.0_f64; SIM_DIM];
+    let mut fused = vec![0.0_f64; SIM_DIM];
+
+    let mut group = c.benchmark_group("data_plane/encode_decode");
+    group.sample_size(10);
+    group.bench_function("per_worker_encode_then_block_decode", |b| {
+        b.iter(|| {
+            for (w, _) in plan.iter() {
+                codec
+                    .encode_into(w, &partials, arrivals.row_mut(w))
+                    .unwrap();
+            }
+            plan.apply_block_into(&arrivals, &mut two_pass).unwrap();
+            black_box(two_pass[0])
+        })
+    });
+    group.bench_function("fused_tiled", |b| {
+        b.iter(|| {
+            codec
+                .decode_partials_into(&plan, &partials, &mut fused)
+                .unwrap();
+            black_box(fused[0])
+        })
+    });
+    group.finish();
+    assert!(
+        two_pass
+            .iter()
+            .zip(&fused)
+            .all(|(a, b)| a.to_bits() == b.to_bits()),
+        "fused encode → decode diverged from the two-pass route"
+    );
+}
+
 fn bench_round(c: &mut Criterion) {
     let (codec, _rows, _block) = fixture();
     let m = codec.workers();
@@ -278,6 +340,7 @@ criterion_group!(
     bench_encode,
     bench_decode,
     bench_decode_large,
+    bench_encode_decode,
     bench_round,
     bench_driver
 );

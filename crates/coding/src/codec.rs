@@ -72,6 +72,12 @@ use crate::strategy::CodingMatrix;
 /// Default number of survivor patterns a [`CompiledCodec`] remembers.
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 64;
 
+/// Column-tile width (elements) of [`CompiledCodec::decode_partials_into`]:
+/// the tiles of all `k` partial rows a round reads stay cache-resident
+/// while each is read once per plan worker that covers it, and the coded
+/// scratch tile lives on the stack.
+pub const FUSED_TILE: usize = 256;
+
 // ---------------------------------------------------------------- plans
 
 /// A sparse decode vector: the non-zero entries of a row `a` of the
@@ -225,9 +231,7 @@ impl DecodePlan {
         F: FnMut(usize) -> Option<&'a [E]>,
     {
         if self.is_empty() {
-            return Err(CodingError::InvalidParameter {
-                reason: "empty decode plan: no worker carries decode weight".into(),
-            });
+            return Err(empty_plan());
         }
         out.fill(E::ZERO);
         for (w, coef) in self.iter() {
@@ -266,9 +270,7 @@ impl DecodePlan {
         F: Fn(usize) -> Option<&'a [E]> + Sync,
     {
         if self.is_empty() {
-            return Err(CodingError::InvalidParameter {
-                reason: "empty decode plan: no worker carries decode weight".into(),
-            });
+            return Err(empty_plan());
         }
         for &w in &self.workers {
             let g = coded_of(w).ok_or_else(|| missing_worker(w))?;
@@ -316,6 +318,12 @@ impl DecodePlan {
         }
         self.total_workers = a.len();
         self.residual = residual;
+    }
+}
+
+fn empty_plan() -> CodingError {
+    CodingError::InvalidParameter {
+        reason: "empty decode plan: no worker carries decode weight".into(),
     }
 }
 
@@ -878,6 +886,16 @@ impl PlanCache {
         None
     }
 
+    /// [`PlanCache::lookup`] for a pattern whose miss is already counted:
+    /// a hit counts (and refreshes the LRU position), a miss does not.
+    fn recheck(&mut self, key: &[usize]) -> Option<DecodePlan> {
+        if self.entries.iter().any(|(k, _)| k == key) {
+            self.lookup(key)
+        } else {
+            None
+        }
+    }
+
     pub(crate) fn insert(&mut self, key: Vec<usize>, plan: DecodePlan) {
         // Concurrent misses on the same pattern may race to insert: the
         // lock is released during the solve. Keep the cache duplicate-free
@@ -1157,6 +1175,13 @@ impl CompiledCodec {
                 // possibly becoming the new leader.
                 continue;
             }
+            // A leader may have finished between this thread's cache miss
+            // and taking the gate. Leaders publish to the cache before they
+            // leave the gate, so a re-probe here sees their plan instead of
+            // solving the same pattern a second time.
+            if let Some(plan) = self.cache.lock().expect("cache poisoned").recheck(&key) {
+                return Ok(plan);
+            }
             let mut flights = flights;
             flights.push(key.clone());
             break;
@@ -1351,20 +1376,7 @@ impl GradientCodec for CompiledCodec {
         partials: &GradientBlock<E>,
         out: &mut [E],
     ) -> Result<(), CodingError> {
-        if partials.rows() != self.partitions() {
-            return Err(CodingError::InvalidParameter {
-                reason: format!(
-                    "expected {} partials, got {}",
-                    self.partitions(),
-                    partials.rows()
-                ),
-            });
-        }
-        if out.len() != partials.dim() {
-            return Err(CodingError::InvalidParameter {
-                reason: format!("out has dim {}, expected {}", out.len(), partials.dim()),
-            });
-        }
+        self.check_partials(partials, out.len())?;
         let support = self.support_of(worker);
         let coeffs = self.coefficients_of(worker);
         // The CSR-gathered support rows through the column-blocked kernel,
@@ -1378,6 +1390,88 @@ impl GradientCodec for CompiledCodec {
 }
 
 impl CompiledCodec {
+    /// The master-side fused encode → decode of one round:
+    /// `out = Σ_w a_w · (Σ_{j ∈ supp(b_w)} b_wj · g_j)` over the plan's
+    /// workers, straight from the `k × d` block of partial gradients,
+    /// without materializing any worker's coded gradient. `out` must
+    /// have length `d` and is fully overwritten.
+    ///
+    /// The pass walks `d` in [`FUSED_TILE`]-element column tiles with a
+    /// fixed-size stack scratch, so it allocates nothing and the tile of
+    /// every row it touches stays cache-resident. Within a tile, each
+    /// plan worker's coded tile starts at zero and adds its support rows
+    /// in CSR order (through [`kernels::accumulate_rows`]); the output
+    /// tile starts at zero and adds `a_w ×` each coded tile in plan order.
+    /// Every element therefore sees exactly the operations, in exactly
+    /// the order, of [`GradientCodec::encode_into`] per plan worker
+    /// followed by [`DecodePlan::apply_block_into`] — the result is
+    /// **bitwise-identical** to that two-pass sequence, for any plan
+    /// (exact or approximate) and either element type.
+    ///
+    /// # Errors
+    ///
+    /// [`CodingError::InvalidParameter`] when the plan is empty (the same
+    /// error [`DecodePlan::apply_into`] reports), names a worker outside
+    /// the code, or the block shape or `out` length disagrees with the
+    /// code.
+    pub fn decode_partials_into<E: Element>(
+        &self,
+        plan: &DecodePlan,
+        partials: &GradientBlock<E>,
+        out: &mut [E],
+    ) -> Result<(), CodingError> {
+        if plan.is_empty() {
+            return Err(empty_plan());
+        }
+        self.check_partials(partials, out.len())?;
+        if let Some(&w) = plan.workers().iter().find(|&&w| w >= self.workers()) {
+            return Err(missing_worker(w));
+        }
+        let mut scratch = [E::ZERO; FUSED_TILE];
+        let mut at = 0;
+        for tile in out.chunks_mut(FUSED_TILE) {
+            let coded = &mut scratch[..tile.len()];
+            tile.fill(E::ZERO);
+            for (w, a) in plan.iter() {
+                let support = self.support_of(w);
+                coded.fill(E::ZERO);
+                kernels::accumulate_rows(
+                    self.coefficients_of(w),
+                    &|i| partials.row(support[i]),
+                    coded,
+                    at,
+                );
+                kernels::axpy(E::from_f64(a), coded, tile);
+            }
+            at += tile.len();
+        }
+        Ok(())
+    }
+
+    /// The shape checks shared by the block encode paths: `k` partial
+    /// rows, and an output as long as one row.
+    fn check_partials<E: Element>(
+        &self,
+        partials: &GradientBlock<E>,
+        out_len: usize,
+    ) -> Result<(), CodingError> {
+        if partials.rows() != self.partitions() {
+            return Err(CodingError::InvalidParameter {
+                reason: format!(
+                    "expected {} partials, got {}",
+                    self.partitions(),
+                    partials.rows()
+                ),
+            });
+        }
+        if out_len != partials.dim() {
+            return Err(CodingError::InvalidParameter {
+                reason: format!("out has dim {}, expected {}", out_len, partials.dim()),
+            });
+        }
+        Ok(())
+    }
+
     /// [`GradientCodec::decode_plan`] over an already-validated, sorted,
     /// deduplicated survivor key — the cache-keyed inner path, shared with
     /// sibling backends that canonicalize once themselves.

@@ -76,7 +76,7 @@ pub use approx::{
 pub use backend::{AnyCodec, CodecBackend};
 pub use block::{BufferPool, GradientBlock, PoolStats, SharedBufferPool};
 pub use codec::{
-    CodecSession, CompiledCodec, DecodePlan, GradientCodec, DEFAULT_PLAN_CACHE_CAPACITY,
+    CodecSession, CompiledCodec, DecodePlan, GradientCodec, DEFAULT_PLAN_CACHE_CAPACITY, FUSED_TILE,
 };
 pub use codec_approx::{ApproxCodec, DEFAULT_MAX_RESIDUAL_FRACTION};
 pub use codec_group::GroupCodec;

@@ -298,12 +298,19 @@ pub fn combined_step_scale(
 
 /// The master-side coded gradient of one simulated round, shared by the
 /// BSP and coded-SSP engines, on the pooled data plane: partials written
-/// into the engine's reusable [`GradientBlock`] → sparse `encode_into`
-/// per plan worker (into that worker's row of the reusable `arrivals`
-/// block, exactly what the master would have received) → one whole-round
-/// `apply_block_into` decode through the blocked kernel — plus the
-/// rigorous [`gradient_error_bound_l2`] for approximate plans. The only
-/// per-round allocation left is the outgoing gradient vector itself.
+/// into the engine's reusable [`GradientBlock`] → one fused, column-tiled
+/// encode → decode pass over them
+/// ([`hetgc_coding::CompiledCodec::decode_partials_into`], which every
+/// backend reaches through `as_compiled()`) — plus the rigorous
+/// [`gradient_error_bound_l2`] for approximate plans. No plan worker's
+/// coded gradient is ever materialized: each tile of it is built in a
+/// stack scratch and folded into the output while still in cache, and
+/// the result is bitwise what the master would decode from the coded
+/// gradients it received. The only per-round allocation left is the
+/// outgoing gradient vector itself.
+///
+/// The encode phase covers the partial gradients; the fused pass is
+/// recorded as the decode phase.
 ///
 /// In debug builds, exact plans are verified against the direct
 /// full-batch gradient (approximate rounds legitimately deviate, bounded
@@ -317,27 +324,17 @@ fn gradient_from_plan<M: Model + ?Sized>(
     data: &Dataset,
     ranges: &[(usize, usize)],
     partials: &mut GradientBlock,
-    arrivals: &mut GradientBlock,
     recorder: Option<&Recorder>,
 ) -> Result<(Vec<f64>, Option<f64>), BoxError> {
     let encode_span = recorder.map(|r| r.span(Phase::Encode));
     partial_gradients_into(model, params, data, ranges, partials);
-    let d = model.num_params();
-    let m = codec.workers();
-    if arrivals.rows() != m || arrivals.dim() != d {
-        arrivals.reset(m, d);
-    }
-    // Only the plan's rows are encoded (and only those are read by the
-    // decode), so rows of workers outside the plan may hold stale data —
-    // skipping the block-wide zeroing keeps the round allocation- and
-    // fill-free.
-    for (w, _) in plan.iter() {
-        codec.encode_into(w, partials, arrivals.row_mut(w))?;
-    }
     drop(encode_span);
     let decode_span = recorder.map(|r| r.span(Phase::Decode));
-    let mut gradient = vec![0.0; d];
-    plan.apply_block_into(arrivals, &mut gradient)?;
+    let mut gradient = vec![0.0; model.num_params()];
+    codec
+        .base()
+        .as_compiled()
+        .decode_partials_into(plan, partials, &mut gradient)?;
     drop(decode_span);
     let approximate = plan.residual() > 0.0;
     debug_assert!(
@@ -365,7 +362,9 @@ fn gradient_from_plan<M: Model + ?Sized>(
 /// simulates arrivals, decodes at the earliest decodable prefix (with the
 /// escalation ladder at the policy deadline or round end) and computes
 /// the real coded gradient the way the master would — partials, sparse
-/// encode per surviving worker, combination with the decode plan.
+/// encode per surviving worker, combination with the decode plan — as
+/// one fused, cache-resident pass over the partials (see
+/// [`hetgc_coding::CompiledCodec::decode_partials_into`]).
 ///
 /// The adaptation hooks are fully wired: every round emits
 /// [`RoundSample`]s, [`SimBspEngine::with_drift`] injects a
@@ -390,8 +389,6 @@ pub struct SimBspEngine<'a, M: Model + ?Sized> {
     stragglers: StragglerModel,
     fallback_deadline: Option<f64>,
     label: String,
-    /// Reusable m × d master-side arrival block (the pooled data plane).
-    arrivals: GradientBlock,
     /// Reusable k × d partial-gradient block (the pooled data plane).
     partials: GradientBlock,
     /// Session-pool counters at the end of the previous round, for
@@ -451,7 +448,6 @@ impl<'a, M: Model + ?Sized> SimBspEngine<'a, M> {
             stragglers: cfg.stragglers.clone(),
             fallback_deadline,
             label: scheme.kind.name().to_owned(),
-            arrivals: GradientBlock::new(0, 0),
             partials: GradientBlock::new(0, 0),
             pool_mark: (0, 0),
             kind: scheme.kind,
@@ -542,7 +538,6 @@ impl<M: Model + ?Sized> RoundEngine for SimBspEngine<'_, M> {
             self.data,
             &self.ranges,
             &mut self.partials,
-            &mut self.arrivals,
             self.recorder.as_ref(),
         )?;
         let (pool_hits, alloc_bytes) = pool_delta(&self.session, &mut self.pool_mark);
@@ -686,7 +681,6 @@ enum SspMode {
         ranges: Vec<(usize, usize)>,
         live: Vec<usize>,
         reported: Vec<bool>,
-        arrivals: GradientBlock,
         partials: GradientBlock,
         pool_mark: (u64, u64),
         /// Iteration time per *live* worker (aligned with `live`).
@@ -822,7 +816,6 @@ impl<'a, M: Model + ?Sized> SimSspEngine<'a, M> {
                 ranges,
                 live,
                 reported: vec![false; m],
-                arrivals: GradientBlock::new(0, 0),
                 partials: GradientBlock::new(0, 0),
                 pool_mark: (0, 0),
                 iter_times,
@@ -914,7 +907,6 @@ impl<M: Model + ?Sized> RoundEngine for SimSspEngine<'_, M> {
                 ranges,
                 live,
                 reported,
-                arrivals,
                 partials,
                 pool_mark,
                 iter_times,
@@ -971,7 +963,6 @@ impl<M: Model + ?Sized> RoundEngine for SimSspEngine<'_, M> {
                     self.data,
                     ranges,
                     partials,
-                    arrivals,
                     self.recorder.as_ref(),
                 )?;
                 let elapsed = at - self.last_time;

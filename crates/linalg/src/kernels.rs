@@ -2,9 +2,11 @@
 //! [`Element`].
 //!
 //! These are the per-round hot loops of gradient coding: encoding is
-//! `g̃_w = Σ_j b_wj·g_j` (a handful of [`axpy`]s over `d`-length rows),
-//! decoding is `g = Σ_w a_w·g̃_w` (one [`block_decode`] — a `1 × |plan|`
-//! by `|plan| × d` product). Everything here is written over
+//! `g̃_w = Σ_j b_wj·g_j` and decoding is `g = Σ_w a_w·g̃_w` — both sums
+//! of scaled rows, which all go through one accumulation kernel,
+//! [`axpy_rows`] (driven four rows at a time by [`accumulate_rows`];
+//! [`axpy`] is its one-row case, [`block_decode`] its column-blocked
+//! `1 × n` by `n × d` product). Everything here is written over
 //! `chunks_exact` lanes with explicit scalar tails so LLVM reliably emits
 //! SIMD for the chunk bodies, without `unsafe` or per-target intrinsics.
 //!
@@ -19,6 +21,12 @@
 //!   silently dropping non-finite values from `x`; that shortcut is
 //!   gone, and `tests/properties.rs` pins the equivalence on non-finite
 //!   inputs.)
+//! * **The multi-row kernel preserves row order.** [`axpy_rows`] adds
+//!   `alpha[r]·xs[r][i]` into `y[i]` for `r = 0, 1, …` in turn — one load
+//!   and store of `y[i]` for all the rows, but exactly the rounded
+//!   operations of one [`axpy`] per row in sequence, so it (and
+//!   [`accumulate_rows`] over any number of rows) is bitwise-identical
+//!   to that sequence, non-finite inputs included.
 //! * **Reductions reassociate.** [`dot`], [`norm2`] and [`norm_inf`]
 //!   accumulate in [`LANES`] independent partial accumulators (that is
 //!   what lets them vectorize) and are therefore *deterministic* but not
@@ -52,29 +60,96 @@ pub const PAR_MIN_DIM: usize = 1 << 16;
 const PAR_MIN_CHUNK: usize = 1 << 15;
 
 /// In-place scaled accumulation `y[i] += alpha · x[i]` (BLAS `axpy`),
-/// bitwise-identical to the scalar loop (see the module contract).
+/// bitwise-identical to the scalar loop (see the module contract). The
+/// one-row case of [`axpy_rows`].
 ///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
 #[inline]
 pub fn axpy<E: Element>(alpha: E, x: &[E], y: &mut [E]) {
-    assert_eq!(
-        x.len(),
-        y.len(),
-        "axpy: length mismatch {} vs {}",
-        x.len(),
-        y.len()
-    );
+    axpy_rows([alpha], [x], y);
+}
+
+/// Rows combined per pass of [`accumulate_rows`]: four input streams and
+/// one output stream per element keep the output in a register across
+/// four adds without exhausting the load ports.
+const ROW_GROUP: usize = 4;
+
+/// The multi-row accumulation kernel: per element,
+/// `y[i] += alpha[0]·xs[0][i]; y[i] += alpha[1]·xs[1][i]; …` in row
+/// order — one load and one store of `y[i]` for `N` rows instead of `N`.
+/// Every add is the same rounded operation, in the same order, as in
+/// `N` sequential [`axpy`] calls, so the result is **bitwise-identical**
+/// to them, non-finite inputs and `0 · NaN` included (no zero shortcut).
+///
+/// # Panics
+///
+/// Panics if any row's length differs from `y.len()`.
+#[inline]
+pub fn axpy_rows<E: Element, const N: usize>(alpha: [E; N], xs: [&[E]; N], y: &mut [E]) {
+    for x in xs {
+        assert_eq!(
+            x.len(),
+            y.len(),
+            "axpy: length mismatch {} vs {}",
+            x.len(),
+            y.len()
+        );
+    }
     let mut yc = y.chunks_exact_mut(LANES);
-    let mut xc = x.chunks_exact(LANES);
-    for (yl, xl) in yc.by_ref().zip(xc.by_ref()) {
-        for i in 0..LANES {
-            yl[i] += alpha * xl[i];
+    let mut xc = xs.map(|x| x.chunks_exact(LANES));
+    for yl in yc.by_ref() {
+        let xl = xc.each_mut().map(|c| c.next().expect("rows as long as y"));
+        for r in 0..N {
+            for i in 0..LANES {
+                yl[i] += alpha[r] * xl[r][i];
+            }
         }
     }
-    for (yi, &xi) in yc.into_remainder().iter_mut().zip(xc.remainder()) {
-        *yi += alpha * xi;
+    let xt = xc.map(|c| c.remainder());
+    for (i, yi) in yc.into_remainder().iter_mut().enumerate() {
+        for r in 0..N {
+            *yi += alpha[r] * xt[r][i];
+        }
+    }
+}
+
+/// `out[t] += Σ_i coeffs[i] · row_of(i)[offset + t]` with the rows added
+/// in index order per element, four rows per [`axpy_rows`] pass —
+/// bitwise-identical to one full-length [`axpy`] per row over the same
+/// span. Coefficients are `f64` and convert via
+/// [`Element::from_f64`]. This is the accumulation under
+/// [`block_decode`] and under the codec's fused encode → decode pass.
+///
+/// # Panics
+///
+/// Panics if a row is shorter than `offset + out.len()`.
+#[inline]
+pub fn accumulate_rows<'a, E, F>(coeffs: &[f64], row_of: &F, out: &mut [E], offset: usize)
+where
+    E: Element,
+    F: Fn(usize) -> &'a [E],
+{
+    let span = offset..offset + out.len();
+    let mut groups = coeffs.chunks_exact(ROW_GROUP);
+    let mut first = 0;
+    for group in groups.by_ref() {
+        axpy_rows(
+            std::array::from_fn::<_, ROW_GROUP, _>(|r| E::from_f64(group[r])),
+            std::array::from_fn(|r| &row_of(first + r)[span.clone()]),
+            out,
+        );
+        first += ROW_GROUP;
+    }
+    let rest = groups.remainder();
+    let row = |r: usize| &row_of(first + r)[span.clone()];
+    let c = |r: usize| E::from_f64(rest[r]);
+    match rest.len() {
+        0 => {}
+        1 => axpy_rows([c(0)], [row(0)], out),
+        2 => axpy_rows([c(0), c(1)], [row(0), row(1)], out),
+        _ => axpy_rows([c(0), c(1), c(2)], [row(0), row(1), row(2)], out),
     }
 }
 
@@ -235,7 +310,8 @@ where
 }
 
 /// The sequential core of [`block_decode`]: one contiguous span of the
-/// output, column-blocked, rows accumulated in index order.
+/// output, column-blocked, rows accumulated in index order through
+/// [`accumulate_rows`].
 fn block_decode_span<'a, E, F>(coeffs: &[f64], row_of: &F, out: &mut [E], offset: usize)
 where
     E: Element,
@@ -244,10 +320,7 @@ where
     let mut at = offset;
     for chunk in out.chunks_mut(COL_BLOCK) {
         chunk.fill(E::ZERO);
-        for (i, &c) in coeffs.iter().enumerate() {
-            let row = &row_of(i)[at..at + chunk.len()];
-            axpy(E::from_f64(c), row, chunk);
-        }
+        accumulate_rows(coeffs, row_of, chunk, at);
         at += chunk.len();
     }
 }

@@ -183,6 +183,88 @@ proptest! {
         prop_assert!(bits_eq(&y, &y_ref), "chunked {y:?} vs scalar {y_ref:?}");
     }
 
+    /// The multi-row kernel is bitwise-identical to one scalar `axpy`
+    /// per row, in row order, for every row count it is instantiated at —
+    /// NaN/±inf inputs and zero coefficients (`0·NaN`, `0·∞`) included.
+    #[test]
+    fn axpy_rows_bitwise_equals_sequential_axpys(
+        alpha in prop::collection::vec(wild_f64(), 4),
+        cols in prop::collection::vec(
+            (wild_f64(), wild_f64(), wild_f64(), wild_f64(), wild_f64()),
+            0..70,
+        ),
+    ) {
+        let rows: [Vec<f64>; 4] = [
+            cols.iter().map(|c| c.0).collect(),
+            cols.iter().map(|c| c.1).collect(),
+            cols.iter().map(|c| c.2).collect(),
+            cols.iter().map(|c| c.3).collect(),
+        ];
+        let y: Vec<f64> = cols.iter().map(|c| c.4).collect();
+        let sequential = |n: usize| {
+            let mut out = y.clone();
+            for r in 0..n {
+                for (o, &x) in out.iter_mut().zip(&rows[r]) {
+                    *o += alpha[r] * x;
+                }
+            }
+            out
+        };
+        let mut one = y.clone();
+        kernels::axpy_rows([alpha[0]], [&rows[0][..]], &mut one);
+        prop_assert!(bits_eq(&one, &sequential(1)));
+        let mut two = y.clone();
+        kernels::axpy_rows([alpha[0], alpha[1]], [&rows[0][..], &rows[1][..]], &mut two);
+        prop_assert!(bits_eq(&two, &sequential(2)));
+        let mut three = y.clone();
+        kernels::axpy_rows(
+            [alpha[0], alpha[1], alpha[2]],
+            [&rows[0][..], &rows[1][..], &rows[2][..]],
+            &mut three,
+        );
+        prop_assert!(bits_eq(&three, &sequential(3)));
+        let mut four = y.clone();
+        kernels::axpy_rows(
+            [alpha[0], alpha[1], alpha[2], alpha[3]],
+            [&rows[0][..], &rows[1][..], &rows[2][..], &rows[3][..]],
+            &mut four,
+        );
+        prop_assert!(bits_eq(&four, &sequential(4)));
+    }
+
+    /// `accumulate_rows` (four rows per kernel pass, then the 1–3 row
+    /// remainder) equals one scalar `axpy` per row over the same span of
+    /// longer rows, for any row count.
+    #[test]
+    fn accumulate_rows_bitwise_equals_sequential_axpys(
+        coeffs in prop::collection::vec(wild_f64(), 0..10),
+        span in 0usize..40,
+        offset in 0usize..9,
+        seed in 0u64..1000,
+    ) {
+        let len = offset + span + 3;
+        let rows: Vec<Vec<f64>> = (0..coeffs.len())
+            .map(|i| {
+                (0..len)
+                    .map(|t| match ((seed + i as u64) * 31 + t as u64) % 23 {
+                        0 => f64::NAN,
+                        1 => f64::INFINITY,
+                        v => v as f64 - 11.0,
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut reference = vec![0.5; span];
+        for (row, &c) in rows.iter().zip(&coeffs) {
+            for (o, &x) in reference.iter_mut().zip(&row[offset..]) {
+                *o += c * x;
+            }
+        }
+        let mut out = vec![0.5; span];
+        kernels::accumulate_rows(&coeffs, &|i| rows[i].as_slice(), &mut out, offset);
+        prop_assert!(bits_eq(&out, &reference), "{out:?} vs {reference:?}");
+    }
+
     /// Same pin for `scale`: elementwise, so chunking is layout-only.
     #[test]
     fn chunked_scale_bitwise_equals_scalar(
@@ -199,7 +281,7 @@ proptest! {
     }
 
     /// The whole-round block-decode kernel is bitwise-identical to the
-    /// per-row `axpy` sequence it replaces, for any row count, dimension
+    /// per-row scalar `axpy` sequence it replaces, for any row count, dimension
     /// (spanning several column blocks), and thread split.
     #[test]
     fn block_decode_bitwise_equals_axpy_sequence(
@@ -215,8 +297,10 @@ proptest! {
             })
             .collect();
         let mut reference = vec![0.0; d];
-        for (i, &c) in coeffs.iter().enumerate() {
-            kernels::axpy(c, &rows[i], &mut reference);
+        for (row, &c) in rows.iter().zip(&coeffs) {
+            for (o, &x) in reference.iter_mut().zip(row) {
+                *o += c * x;
+            }
         }
         let mut sequential = vec![f64::NAN; d];
         kernels::block_decode_threads(&coeffs, &|i| rows[i].as_slice(), &mut sequential, 1);
@@ -225,4 +309,20 @@ proptest! {
         kernels::block_decode_threads(&coeffs, &|i| rows[i].as_slice(), &mut parallel, 4);
         prop_assert!(bits_eq(&parallel, &reference));
     }
+}
+
+/// The contract's named edge: a zero coefficient meeting NaN or ±∞ in a
+/// row yields NaN in the multi-row kernel exactly as in scalar `axpy`,
+/// and a later finite row does not wash it out.
+#[test]
+fn axpy_rows_zero_times_non_finite_is_nan() {
+    let x0 = [f64::NAN, 1.0, f64::INFINITY, 2.0];
+    let x1 = [1.0, f64::NEG_INFINITY, 1.0, 3.0];
+    let x2 = [4.0, 5.0, 6.0, 7.0];
+    let mut y = [1.0, 1.0, 1.0, 1.0];
+    kernels::axpy_rows([0.0, 0.0, 2.0], [&x0[..], &x1[..], &x2[..]], &mut y);
+    assert!(y[0].is_nan(), "0·NaN");
+    assert!(y[1].is_nan(), "0·(−∞)");
+    assert!(y[2].is_nan(), "0·∞");
+    assert_eq!(y[3], 1.0 + 0.0 * 2.0 + 0.0 * 3.0 + 2.0 * 7.0);
 }

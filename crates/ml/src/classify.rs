@@ -48,19 +48,8 @@ impl Classifier for crate::logistic::SoftmaxRegression {
     fn predict(&self, params: &[f64], x: &[f64]) -> usize {
         assert_eq!(params.len(), self.num_params(), "parameter count mismatch");
         assert_eq!(x.len(), self.dim(), "feature dimension mismatch");
-        let classes = self.classes();
-        let dim = self.dim();
-        let bias = classes * dim;
-        let logits: Vec<f64> = (0..classes)
-            .map(|c| {
-                params[c * dim..(c + 1) * dim]
-                    .iter()
-                    .zip(x)
-                    .map(|(w, v)| w * v)
-                    .sum::<f64>()
-                    + params[bias + c]
-            })
-            .collect();
+        let mut logits = vec![0.0; self.classes()];
+        self.logits(params, x, &mut logits);
         argmax(&logits)
     }
 }

@@ -54,15 +54,48 @@ impl SoftmaxRegression {
         self.classes
     }
 
-    fn logits(&self, params: &[f64], x: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        let bias_base = self.classes * self.dim;
-        for c in 0..self.classes {
-            let w = &params[c * self.dim..(c + 1) * self.dim];
-            let z: f64 =
-                w.iter().zip(x).map(|(wi, xi)| wi * xi).sum::<f64>() + params[bias_base + c];
-            out.push(z);
+    /// The logits `z_c = w_cᵀx + b_c` of one sample into `out`
+    /// (`classes` long). Classes go in groups of independent accumulators
+    /// (8, then 2, then 1), so the per-class add chains overlap instead of
+    /// each waiting on the previous one. Every accumulator still starts
+    /// at `-0.0` (where `Iterator::sum::<f64>` starts) and adds `w_cj·x_j`
+    /// in index order, so each logit is bitwise the plain per-class fold.
+    pub(crate) fn logits(&self, params: &[f64], x: &[f64], out: &mut [f64]) {
+        let mut c = 0;
+        while c < self.classes {
+            c += match self.classes - c {
+                8.. => self.logit_group::<8>(params, x, c, out),
+                2..=7 => self.logit_group::<2>(params, x, c, out),
+                _ => self.logit_group::<1>(params, x, c, out),
+            };
         }
+    }
+
+    /// Logits of classes `first..first + G` (see [`Self::logits`]);
+    /// returns `G`.
+    #[inline]
+    fn logit_group<const G: usize>(
+        &self,
+        params: &[f64],
+        x: &[f64],
+        first: usize,
+        out: &mut [f64],
+    ) -> usize {
+        let dim = self.dim;
+        let x = &x[..dim];
+        let w: [&[f64]; G] =
+            std::array::from_fn(|g| &params[(first + g) * dim..(first + g + 1) * dim]);
+        let mut acc = [-0.0_f64; G];
+        for (j, &xj) in x.iter().enumerate() {
+            for g in 0..G {
+                acc[g] += w[g][j] * xj;
+            }
+        }
+        let bias = &params[self.classes * dim + first..];
+        for g in 0..G {
+            out[first + g] = acc[g] + bias[g];
+        }
+        G
     }
 
     fn check(&self, params: &[f64], data: &Dataset, (lo, hi): (usize, usize)) {
@@ -84,7 +117,7 @@ impl Model for SoftmaxRegression {
 
     fn loss(&self, params: &[f64], data: &Dataset, range: (usize, usize)) -> f64 {
         self.check(params, data, range);
-        let mut logits = Vec::with_capacity(self.classes);
+        let mut logits = vec![0.0; self.classes];
         (range.0..range.1)
             .map(|i| {
                 self.logits(params, data.features_of(i), &mut logits);
@@ -99,6 +132,14 @@ impl Model for SoftmaxRegression {
         grad
     }
 
+    /// Samples go in chunks of up to four: the forward pass
+    /// of the chunk first, then one pass per class row adding the chunk's
+    /// samples in sample order — the gradient streams through memory once
+    /// per chunk instead of once per sample. The first chunk starts each
+    /// element from `0.0` in a register (no separate zeroing pass), so
+    /// every element sees exactly the adds of zeroing `out` and then
+    /// accumulating sample after sample: the result is bitwise that of
+    /// the plain per-sample loop.
     fn gradient_into(
         &self,
         params: &[f64],
@@ -108,22 +149,47 @@ impl Model for SoftmaxRegression {
     ) {
         self.check(params, data, range);
         assert_eq!(out.len(), self.num_params(), "gradient buffer length");
-        out.fill(0.0);
-        let bias_base = self.classes * self.dim;
-        let mut probs = Vec::with_capacity(self.classes);
-        for i in range.0..range.1 {
-            let x = data.features_of(i);
-            self.logits(params, x, &mut probs);
-            softmax_in_place(&mut probs);
-            let label = data.class_of(i);
-            for c in 0..self.classes {
-                // ∂CE/∂z_c = p_c − 1{c = label}
-                let delta = probs[c] - f64::from(u8::from(c == label));
-                let gw = &mut out[c * self.dim..(c + 1) * self.dim];
-                for (gj, xj) in gw.iter_mut().zip(x) {
-                    *gj += delta * xj;
+        let (lo, hi) = range;
+        if lo == hi {
+            out.fill(0.0);
+            return;
+        }
+        let (dim, classes) = (self.dim, self.classes);
+        let (weights, biases) = out.split_at_mut(classes * dim);
+        // ∂CE/∂z_c = p_c − 1{c = label}, per sample of the chunk.
+        let mut deltas = vec![0.0; SAMPLE_CHUNK * classes];
+        for start in (lo..hi).step_by(SAMPLE_CHUNK) {
+            let chunk = (hi - start).min(SAMPLE_CHUNK);
+            for s in 0..chunk {
+                let i = start + s;
+                let delta = &mut deltas[s * classes..(s + 1) * classes];
+                self.logits(params, data.features_of(i), delta);
+                softmax_in_place(delta);
+                let label = data.class_of(i);
+                for (c, d) in delta.iter_mut().enumerate() {
+                    *d -= f64::from(u8::from(c == label));
                 }
-                out[bias_base + c] += delta;
+            }
+            let first = start == lo;
+            let x = |s: usize| data.features_of(start + s);
+            for (c, (row, bias)) in weights
+                .chunks_exact_mut(dim)
+                .zip(biases.iter_mut())
+                .enumerate()
+            {
+                let d = |s: usize| deltas[s * classes + c];
+                match chunk {
+                    1 => accumulate([d(0)], [x(0)], row, bias, first),
+                    2 => accumulate([d(0), d(1)], [x(0), x(1)], row, bias, first),
+                    3 => accumulate([d(0), d(1), d(2)], [x(0), x(1), x(2)], row, bias, first),
+                    _ => accumulate(
+                        [d(0), d(1), d(2), d(3)],
+                        [x(0), x(1), x(2), x(3)],
+                        row,
+                        bias,
+                        first,
+                    ),
+                }
             }
         }
     }
@@ -131,6 +197,35 @@ impl Model for SoftmaxRegression {
     fn init_params(&self, rng: &mut dyn RngCore) -> Vec<f64> {
         uniform_init(self.num_params(), 0.01, rng)
     }
+}
+
+/// Samples per chunk of [`SoftmaxRegression`]'s gradient pass.
+const SAMPLE_CHUNK: usize = 4;
+
+/// One class row of a gradient chunk: per element, start from `0.0` on
+/// the first chunk (else from the stored value) and add `δ_s·x_s` for
+/// the chunk's samples in order; the bias adds `δ_s` the same way.
+#[inline]
+fn accumulate<const N: usize>(
+    deltas: [f64; N],
+    xs: [&[f64]; N],
+    row: &mut [f64],
+    bias: &mut f64,
+    first: bool,
+) {
+    let xs = xs.map(|x| &x[..row.len()]);
+    for (j, o) in row.iter_mut().enumerate() {
+        let mut t = if first { 0.0 } else { *o };
+        for s in 0..N {
+            t += deltas[s] * xs[s][j];
+        }
+        *o = t;
+    }
+    let mut t = if first { 0.0 } else { *bias };
+    for d in deltas {
+        t += d;
+    }
+    *bias = t;
 }
 
 #[cfg(test)]
