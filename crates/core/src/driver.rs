@@ -547,6 +547,140 @@ impl RoundLog {
     }
 }
 
+/// What a training loop steps with — the model, its data, the optimizer,
+/// the loop configuration and the observer — and the master's work on
+/// each collected round. [`TrainDriver`] and
+/// [`PipelinedDriver`](crate::PipelinedDriver) share it and differ only
+/// in when they dispatch.
+pub(crate) struct Learner<'a, M: Model + ?Sized, O: Optimizer> {
+    pub(crate) model: &'a M,
+    pub(crate) data: &'a Dataset,
+    pub(crate) optimizer: O,
+    pub(crate) cfg: DriverConfig,
+    pub(crate) observer: Option<RunObserver>,
+}
+
+/// One run's evolving state.
+pub(crate) struct RunState {
+    pub(crate) params: Vec<f64>,
+    /// The scaled step handed to the optimizer, reused every round.
+    step: Vec<f64>,
+    log: RoundLog,
+    rounds: usize,
+}
+
+impl RunState {
+    pub(crate) fn finish(self, adaptation: Option<AdaptationState>) -> TrainOutcome {
+        self.log.finish(self.params, adaptation)
+    }
+}
+
+impl<'a, M: Model + ?Sized, O: Optimizer> Learner<'a, M, O> {
+    pub(crate) fn new(model: &'a M, data: &'a Dataset, optimizer: O) -> Self {
+        Learner {
+            model,
+            data,
+            optimizer,
+            cfg: DriverConfig::default(),
+            observer: None,
+        }
+    }
+
+    /// Starts a run of `rounds` rounds: draws the initial parameters and
+    /// attaches the observer's flight recorder to `engine`.
+    pub(crate) fn begin<E: RoundEngine + ?Sized>(
+        &self,
+        engine: &mut E,
+        rounds: usize,
+        rng: &mut dyn RngCore,
+    ) -> RunState {
+        let params = self.model.init_params(rng);
+        if let Some(rec) = self.observer.as_ref().and_then(|o| o.recorder()) {
+            engine.attach_recorder(rec.clone());
+        }
+        RunState {
+            params,
+            step: Vec::new(),
+            log: RoundLog::tagged(engine.label().to_owned(), self.cfg.job_id.clone()),
+            rounds,
+        }
+    }
+
+    /// The master's work on collected round `round`. A failed round is
+    /// counted. A completed one steps the optimizer on the decoded
+    /// gradient (scaled on approximate or lossy rounds when
+    /// [`DriverConfig::residual_step_scaling`] is on), evaluates the loss
+    /// on schedule, reports to the observer, logs the record and streams
+    /// it to `writer`; its elapsed seconds are returned.
+    pub(crate) fn apply<E: RoundEngine + ?Sized>(
+        &mut self,
+        run: &mut RunState,
+        engine: &mut E,
+        round: usize,
+        er: &EngineRound,
+        writer: Option<&mut (dyn std::io::Write + '_)>,
+    ) -> Result<Option<f64>, BoxError> {
+        let Some(elapsed) = er.elapsed else {
+            if let Some(obs) = &self.observer {
+                obs.observe_failed_round();
+            }
+            run.log.failed_round();
+            return Ok(None);
+        };
+        let n = self.data.len() as f64;
+        let step_span = self
+            .observer
+            .as_ref()
+            .and_then(|o| o.recorder())
+            .map(|r| r.span(Phase::Step));
+        let mut step_scale = 1.0;
+        if let Some(gradient) = er.gradient.as_ref() {
+            if self.cfg.residual_step_scaling {
+                let norm = gradient.iter().map(|x| x * x).sum::<f64>().sqrt();
+                // Lossy wire traffic gates the step exactly like an
+                // approximate decode; lossless rounds reduce to the
+                // plain residual scaling bitwise.
+                step_scale = combined_step_scale(
+                    er.residual,
+                    er.error_bound,
+                    er.wire_error,
+                    norm,
+                    engine.partitions(),
+                );
+            }
+            run.step.clear();
+            run.step.extend(gradient.iter().map(|x| step_scale * x / n));
+            self.optimizer.step(&mut run.params, &run.step);
+            engine.after_step(&run.params);
+        }
+        let eval_every = self.cfg.eval_every.max(1);
+        let loss = (round.is_multiple_of(eval_every) || round == run.rounds).then(|| {
+            self.model
+                .loss(&run.params, self.data, (0, self.data.len()))
+                / n
+        });
+        drop(step_span);
+        if let Some(obs) = &self.observer {
+            obs.observe_round(elapsed, er.residual, er.bytes_sent, er.bytes_received);
+            if er.bytes_saved > 0 || er.wire_error > 0.0 {
+                obs.observe_wire(er.bytes_saved, er.wire_error);
+            }
+            for s in &er.samples {
+                if let Some(arrival) = s.arrival_seconds {
+                    obs.observe_arrival(s.worker, arrival);
+                }
+            }
+        }
+        run.log
+            .completed_round(round, er, elapsed, loss, step_scale, engine.workers());
+        if let Some(writer) = writer {
+            let record = run.log.records.last().expect("round just recorded");
+            writeln!(writer, "{}", record.to_json())?;
+        }
+        Ok(Some(elapsed))
+    }
+}
+
 /// The unified round loop: initialize → (round → scale → step → evaluate
 /// → record)* → report. One driver serves the simulated BSP engine, the
 /// SSP event stream and the threaded runtime.
@@ -585,21 +719,17 @@ impl RoundLog {
 /// # }
 /// ```
 pub struct TrainDriver<'a, M: Model + ?Sized, O: Optimizer> {
-    model: &'a M,
-    data: &'a Dataset,
-    optimizer: O,
-    cfg: DriverConfig,
+    learner: Learner<'a, M, O>,
     record_writer: Option<&'a mut dyn std::io::Write>,
-    observer: Option<RunObserver>,
 }
 
 impl<M: Model + ?Sized, O: Optimizer + std::fmt::Debug> std::fmt::Debug for TrainDriver<'_, M, O> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TrainDriver")
-            .field("optimizer", &self.optimizer)
-            .field("cfg", &self.cfg)
+            .field("optimizer", &self.learner.optimizer)
+            .field("cfg", &self.learner.cfg)
             .field("streams_records", &self.record_writer.is_some())
-            .field("observed", &self.observer.is_some())
+            .field("observed", &self.learner.observer.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -609,18 +739,14 @@ impl<'a, M: Model + ?Sized, O: Optimizer> TrainDriver<'a, M, O> {
     /// [`DriverConfig`].
     pub fn new(model: &'a M, data: &'a Dataset, optimizer: O) -> Self {
         TrainDriver {
-            model,
-            data,
-            optimizer,
-            cfg: DriverConfig::default(),
+            learner: Learner::new(model, data, optimizer),
             record_writer: None,
-            observer: None,
         }
     }
 
     /// Replaces the loop configuration.
     pub fn with_config(mut self, cfg: DriverConfig) -> Self {
-        self.cfg = cfg;
+        self.learner.cfg = cfg;
         self
     }
 
@@ -641,7 +767,7 @@ impl<'a, M: Model + ?Sized, O: Optimizer> TrainDriver<'a, M, O> {
     /// in a [`Phase::Step`] span. All of it is atomics on pre-registered
     /// handles: the loop allocates nothing extra per round.
     pub fn with_observer(mut self, observer: RunObserver) -> Self {
-        self.observer = Some(observer);
+        self.learner.observer = Some(observer);
         self
     }
 
@@ -664,82 +790,26 @@ impl<'a, M: Model + ?Sized, O: Optimizer> TrainDriver<'a, M, O> {
         rounds: usize,
         rng: &mut dyn RngCore,
     ) -> Result<TrainOutcome, BoxError> {
-        let n = self.data.len() as f64;
-        let mut params = self.model.init_params(rng);
-        let mut log = RoundLog::tagged(engine.label().to_owned(), self.cfg.job_id.clone());
-        let eval_every = self.cfg.eval_every.max(1);
+        let mut run = self.learner.begin(engine, rounds, rng);
         let mut adaptation = self
+            .learner
             .cfg
             .adaptation
             .as_ref()
             .map(|cfg| AdaptationState::new(engine, cfg));
-        if let Some(rec) = self.observer.as_ref().and_then(|o| o.recorder()) {
-            engine.attach_recorder(rec.clone());
-        }
-
         for round in 1..=rounds {
-            let er = engine.round(round, &params, rng)?;
-            let Some(elapsed) = er.elapsed else {
-                if let Some(obs) = &self.observer {
-                    obs.observe_failed_round();
+            let er = engine.round(round, &run.params, rng)?;
+            let writer = self.record_writer.as_deref_mut();
+            if let Some(elapsed) = self.learner.apply(&mut run, engine, round, &er, writer)? {
+                if let Some(ad) = adaptation.as_mut() {
+                    ad.after_round(round, &er, elapsed, engine, rng)?;
                 }
-                log.failed_round();
-                if er.stop {
-                    break;
-                }
-                continue;
-            };
-            let step_span = self
-                .observer
-                .as_ref()
-                .and_then(|o| o.recorder())
-                .map(|r| r.span(Phase::Step));
-            let mut step_scale = 1.0;
-            if let Some(gradient) = er.gradient.as_ref() {
-                if self.cfg.residual_step_scaling {
-                    let norm = gradient.iter().map(|x| x * x).sum::<f64>().sqrt();
-                    // Lossy wire traffic gates the step exactly like an
-                    // approximate decode; lossless rounds reduce to the
-                    // plain residual scaling bitwise.
-                    step_scale = combined_step_scale(
-                        er.residual,
-                        er.error_bound,
-                        er.wire_error,
-                        norm,
-                        engine.partitions(),
-                    );
-                }
-                let step: Vec<f64> = gradient.iter().map(|x| step_scale * x / n).collect();
-                self.optimizer.step(&mut params, &step);
-                engine.after_step(&params);
-            }
-            let loss = (round % eval_every == 0 || round == rounds)
-                .then(|| self.model.loss(&params, self.data, (0, self.data.len())) / n);
-            drop(step_span);
-            if let Some(obs) = &self.observer {
-                obs.observe_round(elapsed, er.residual, er.bytes_sent, er.bytes_received);
-                if er.bytes_saved > 0 || er.wire_error > 0.0 {
-                    obs.observe_wire(er.bytes_saved, er.wire_error);
-                }
-                for s in &er.samples {
-                    if let Some(arrival) = s.arrival_seconds {
-                        obs.observe_arrival(s.worker, arrival);
-                    }
-                }
-            }
-            log.completed_round(round, &er, elapsed, loss, step_scale, engine.workers());
-            if let Some(writer) = self.record_writer.as_deref_mut() {
-                let record = log.records.last().expect("round just recorded");
-                writeln!(writer, "{}", record.to_json())?;
-            }
-            if let Some(ad) = adaptation.as_mut() {
-                ad.after_round(round, &er, elapsed, engine, rng)?;
             }
             if er.stop {
                 break;
             }
         }
-        Ok(log.finish(params, adaptation))
+        Ok(run.finish(adaptation))
     }
 }
 

@@ -34,7 +34,7 @@ use hetgc_coding::{
 };
 use hetgc_ml::{partial_gradients_into, Dataset, Model};
 use hetgc_obs::{Phase, Recorder};
-use hetgc_runtime::{RuntimeConfig, RuntimeError, ThreadedCluster};
+use hetgc_runtime::{ClusterRound, RuntimeConfig, RuntimeError, ThreadedCluster};
 use hetgc_sim::{
     simulate_bsp_iteration_in, BspIterationConfig, NetworkModel, RateDrift, SspEngine,
 };
@@ -44,8 +44,10 @@ use rand::RngCore;
 use crate::scheme::{scheme_from_estimates, BoxError, SchemeInstance, SchemeKind};
 use crate::trainer::SimTrainConfig;
 
-/// What one engine round hands back to the driver.
-#[derive(Debug, Clone)]
+/// What one engine round hands back to the driver. The `Default` is a
+/// round that did not complete, with every counter at 0 — the base
+/// engines fill in what they observed.
+#[derive(Debug, Clone, Default)]
 pub struct EngineRound {
     /// Seconds this round took (simulated or wall-clock); `None` when the
     /// round could not complete (undecodable and the ladder declined).
@@ -102,24 +104,64 @@ pub struct EngineRound {
 }
 
 impl EngineRound {
+    /// Converts a wall-clock master's completed [`ClusterRound`] (threaded
+    /// or socket) into the driver's round, with one [`RoundSample`] per
+    /// worker of `codec`, which partitions `data`.
+    ///
+    /// Work units are the samples each worker owns. A worker that
+    /// replied in time is `completed` at its real arrival offset when
+    /// the transport observed one, else at its compute end (in-process
+    /// replies: channel latency is the only gap the master cannot see).
+    /// A worker whose only reply was late is `completed(..).late()` at
+    /// its late timing — no gradient weight, but exactly the observation
+    /// drift detection needs. Every other worker is `failed`.
+    pub fn from_cluster(r: ClusterRound, codec: &EscalatingCodec, data: &Dataset) -> Self {
+        let samples_per_partition = data.len() as f64 / codec.partitions() as f64;
+        let samples = r
+            .busy
+            .iter()
+            .enumerate()
+            .map(|(w, &compute)| {
+                let work = codec.load_of(w) as f64 * samples_per_partition;
+                let late = r.late_busy.get(w).copied().unwrap_or(0.0);
+                if compute > 0.0 {
+                    let arrival = if r.arrivals[w] > 0.0 {
+                        r.arrivals[w]
+                    } else {
+                        compute
+                    };
+                    RoundSample::completed(w, work, compute, arrival)
+                } else if late > 0.0 {
+                    RoundSample::completed(w, work, late, late).late()
+                } else {
+                    RoundSample::failed(w, work)
+                }
+            })
+            .collect();
+        // No `error_bound`: the master only sees coded results, so the
+        // driver scales by residual/√k.
+        EngineRound {
+            elapsed: Some(r.elapsed.as_secs_f64()),
+            gradient: Some(r.gradient),
+            residual: r.residual,
+            results_used: r.results_used,
+            busy: r.busy,
+            samples,
+            alloc_bytes: r.alloc_bytes,
+            pool_hits: r.pool_hits,
+            bytes_sent: r.bytes_sent,
+            bytes_received: r.bytes_received,
+            wire_error: r.wire_error,
+            bytes_saved: r.bytes_saved,
+            ..EngineRound::default()
+        }
+    }
+
     /// A round that never completed.
     pub fn failed(stop: bool) -> Self {
         EngineRound {
-            elapsed: None,
-            at: None,
-            gradient: None,
-            residual: 0.0,
-            error_bound: None,
-            results_used: 0,
-            busy: Vec::new(),
-            samples: Vec::new(),
-            alloc_bytes: 0,
-            pool_hits: 0,
-            bytes_sent: 0,
-            bytes_received: 0,
-            wire_error: 0.0,
-            bytes_saved: 0,
             stop,
+            ..EngineRound::default()
         }
     }
 
@@ -544,7 +586,6 @@ impl<M: Model + ?Sized> RoundEngine for SimBspEngine<'_, M> {
 
         Ok(EngineRound {
             elapsed: Some(iter_time),
-            at: None,
             gradient: Some(gradient),
             residual: outcome.decode_residual,
             error_bound,
@@ -553,11 +594,7 @@ impl<M: Model + ?Sized> RoundEngine for SimBspEngine<'_, M> {
             samples,
             alloc_bytes,
             pool_hits,
-            bytes_sent: 0,
-            bytes_received: 0,
-            wire_error: 0.0,
-            bytes_saved: 0,
-            stop: false,
+            ..EngineRound::default()
         })
     }
 
@@ -887,18 +924,9 @@ impl<M: Model + ?Sized> RoundEngine for SimSspEngine<'_, M> {
                     elapsed: Some(elapsed),
                     at: Some(event.time),
                     gradient: Some(gradient),
-                    residual: 0.0,
-                    error_bound: None,
                     results_used: 1,
-                    busy: Vec::new(),
                     samples,
-                    alloc_bytes: 0,
-                    pool_hits: 0,
-                    bytes_sent: 0,
-                    bytes_received: 0,
-                    wire_error: 0.0,
-                    bytes_saved: 0,
-                    stop: false,
+                    ..EngineRound::default()
                 })
             }
             SspMode::Coded {
@@ -977,15 +1005,10 @@ impl<M: Model + ?Sized> RoundEngine for SimSspEngine<'_, M> {
                     residual: plan.residual(),
                     error_bound,
                     results_used: plan.len(),
-                    busy: Vec::new(),
                     samples,
                     alloc_bytes,
                     pool_hits,
-                    bytes_sent: 0,
-                    bytes_received: 0,
-                    wire_error: 0.0,
-                    bytes_saved: 0,
-                    stop: false,
+                    ..EngineRound::default()
                 })
             }
         }
@@ -1034,9 +1057,6 @@ pub struct ThreadedEngine<M> {
     label: String,
     recode_spec: Option<(SchemeKind, usize)>,
     recodes: usize,
-    /// Flight recorder, when the driver attached one (the cluster holds
-    /// its own clone for the dispatch/collect/decode spans).
-    recorder: Option<Recorder>,
 }
 
 impl<M> ThreadedEngine<M>
@@ -1059,7 +1079,6 @@ where
             label: "threaded".to_owned(),
             recode_spec: None,
             recodes: 0,
-            recorder: None,
         })
     }
 
@@ -1086,65 +1105,6 @@ where
     pub fn recodes(&self) -> usize {
         self.recodes
     }
-
-    /// Converts a completed [`hetgc_runtime::ClusterRound`] into the
-    /// driver's [`EngineRound`] — shared by the sequential
-    /// [`RoundEngine::round`] and the split
-    /// [`PipelinedEngine::collect`] paths.
-    fn engine_round(&self, r: hetgc_runtime::ClusterRound) -> EngineRound {
-        // Real wall-clock telemetry: work units are the samples each
-        // worker owns; a worker with zero reported compute never replied
-        // in time this round.
-        let k = self.cluster.partitions();
-        let samples_per_partition = self.cluster.data().len() as f64 / k as f64;
-        let elapsed = r.elapsed.as_secs_f64();
-        let codec = self.cluster.codec();
-        let samples = r
-            .busy
-            .iter()
-            .enumerate()
-            .map(|(w, &compute)| {
-                let work = codec.load_of(w) as f64 * samples_per_partition;
-                if compute > 0.0 {
-                    // Arrival ≈ compute end: channel latency is the only
-                    // gap the master cannot observe.
-                    RoundSample::completed(w, work, compute, compute)
-                } else if r.late_busy.get(w).copied().unwrap_or(0.0) > 0.0 {
-                    // A consistent straggler whose replies land after
-                    // each decode: no gradient weight, but its timing is
-                    // exactly the observation drift detection needs.
-                    let late = r.late_busy[w];
-                    RoundSample::completed(w, work, late, late).late()
-                } else {
-                    RoundSample::failed(w, work)
-                }
-            })
-            .collect::<Vec<RoundSample>>();
-        if let Some(rec) = &self.recorder {
-            for s in samples.iter().filter(|s| !s.failed) {
-                rec.instant(Phase::Arrival, (s.worker + 1) as u64);
-            }
-        }
-        EngineRound {
-            elapsed: Some(elapsed),
-            at: None,
-            gradient: Some(r.gradient),
-            residual: r.residual,
-            // The master only sees coded results; per-partition norms are
-            // unavailable, so the driver scales by residual/√k.
-            error_bound: None,
-            results_used: r.results_used,
-            busy: r.busy,
-            samples,
-            alloc_bytes: r.alloc_bytes,
-            pool_hits: r.pool_hits,
-            bytes_sent: 0,
-            bytes_received: 0,
-            wire_error: 0.0,
-            bytes_saved: 0,
-            stop: false,
-        }
-    }
 }
 
 impl<M> RoundEngine for ThreadedEngine<M>
@@ -1170,12 +1130,12 @@ where
         _rng: &mut dyn RngCore,
     ) -> Result<EngineRound, BoxError> {
         let r = self.cluster.round(round, params)?;
-        Ok(self.engine_round(r))
+        let (codec, data) = (self.cluster.codec(), self.cluster.data());
+        Ok(EngineRound::from_cluster(r, codec, data))
     }
 
     fn attach_recorder(&mut self, recorder: Recorder) {
-        self.cluster.attach_recorder(recorder.clone());
-        self.recorder = Some(recorder);
+        self.cluster.attach_recorder(recorder);
     }
 
     fn set_deadline(&mut self, deadline: f64) {
@@ -1228,7 +1188,8 @@ where
 
     fn collect(&mut self, round: usize) -> Result<EngineRound, BoxError> {
         let r = self.cluster.collect(round)?;
-        Ok(self.engine_round(r))
+        let (codec, data) = (self.cluster.codec(), self.cluster.data());
+        Ok(EngineRound::from_cluster(r, codec, data))
     }
 }
 

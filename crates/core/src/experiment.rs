@@ -64,20 +64,12 @@ impl RoundEngine for TimingEngine<'_> {
         let samples = crate::engine::bsp_samples(&self.codec, &outcome, self.work_per_partition, t);
         Ok(EngineRound {
             elapsed: Some(t),
-            at: None,
             gradient: None,
             residual: outcome.decode_residual,
-            error_bound: None,
             results_used: outcome.decode_workers.len(),
             busy: outcome.busy,
             samples,
-            alloc_bytes: 0,
-            pool_hits: 0,
-            bytes_sent: 0,
-            bytes_received: 0,
-            wire_error: 0.0,
-            bytes_saved: 0,
-            stop: false,
+            ..EngineRound::default()
         })
     }
 }

@@ -3,21 +3,20 @@
 //! `hetgc::TrainDriver` and `hetgc::PipelinedDriver` run over real TCP
 //! with **no call-site changes** — swap the engine, keep the loop.
 //!
-//! Two telemetry upgrades over the threaded engine fall out of the real
-//! transport: each [`RoundSample`] carries the *measured* master-side
-//! arrival time (the threaded engine can only approximate arrival by
-//! compute end), and each round reports the real `bytes_sent` /
-//! `bytes_received` moved over the wire.
+//! Both engines hand their `ClusterRound` to the one conversion,
+//! `EngineRound::from_cluster`. What the real transport adds shows up in
+//! the round's fields rather than in a second code path: each
+//! `RoundSample` carries the *measured* master-side arrival time (the
+//! threaded engine reads 0 there and falls back to compute end), and
+//! each round reports the real `bytes_sent` / `bytes_received` moved
+//! over the wire.
 
-use hetgc::{
-    scheme_from_estimates, EngineRound, PipelinedEngine, RoundEngine, RoundSample, SchemeKind,
-};
-use hetgc_coding::GradientCodec;
+use hetgc::{scheme_from_estimates, EngineRound, PipelinedEngine, RoundEngine, SchemeKind};
 use hetgc_ml::Model;
 use hetgc_obs::Recorder;
 use rand::RngCore;
 
-use crate::cluster::{SocketCluster, SocketRound};
+use crate::cluster::SocketCluster;
 use crate::error::NetError;
 
 /// The driver traits' error type (structurally `hetgc`'s `BoxError`,
@@ -79,56 +78,6 @@ where
     pub fn recodes(&self) -> usize {
         self.recodes
     }
-
-    /// Converts a completed [`SocketRound`] into the driver's
-    /// [`EngineRound`] — shared by the sequential and pipelined paths.
-    fn engine_round(&self, r: SocketRound) -> EngineRound {
-        let k = self.cluster.partitions();
-        let samples_per_partition = self.cluster.data().len() as f64 / k as f64;
-        let elapsed = r.elapsed.as_secs_f64();
-        let codec = self.cluster.codec();
-        let samples = r
-            .busy
-            .iter()
-            .enumerate()
-            .map(|(w, &compute)| {
-                let work = codec.load_of(w) as f64 * samples_per_partition;
-                if compute > 0.0 {
-                    // Real arrival: when the reply's final frame reached
-                    // the master, offset from the dispatch — includes
-                    // serialization and wire time, not just compute.
-                    let arrival = if r.arrivals[w] > 0.0 {
-                        r.arrivals[w]
-                    } else {
-                        compute
-                    };
-                    RoundSample::completed(w, work, compute, arrival)
-                } else if r.late_busy.get(w).copied().unwrap_or(0.0) > 0.0 {
-                    let late = r.late_busy[w];
-                    RoundSample::completed(w, work, late, late).late()
-                } else {
-                    RoundSample::failed(w, work)
-                }
-            })
-            .collect();
-        EngineRound {
-            elapsed: Some(elapsed),
-            at: None,
-            gradient: Some(r.gradient),
-            residual: r.residual,
-            error_bound: None,
-            results_used: r.results_used,
-            busy: r.busy,
-            samples,
-            alloc_bytes: r.alloc_bytes,
-            pool_hits: r.pool_hits,
-            bytes_sent: r.bytes_sent,
-            bytes_received: r.bytes_received,
-            wire_error: r.wire_error,
-            bytes_saved: r.bytes_saved,
-            stop: false,
-        }
-    }
 }
 
 impl<M> RoundEngine for SocketEngine<M>
@@ -154,7 +103,8 @@ where
         _rng: &mut dyn RngCore,
     ) -> Result<EngineRound, BoxError> {
         let r = self.cluster.round(round, params)?;
-        Ok(self.engine_round(r))
+        let (codec, data) = (self.cluster.codec(), self.cluster.data());
+        Ok(EngineRound::from_cluster(r, codec, data))
     }
 
     fn attach_recorder(&mut self, recorder: Recorder) {
@@ -218,6 +168,7 @@ where
 
     fn collect(&mut self, round: usize) -> Result<EngineRound, BoxError> {
         let r = self.cluster.collect(round)?;
-        Ok(self.engine_round(r))
+        let (codec, data) = (self.cluster.codec(), self.cluster.data());
+        Ok(EngineRound::from_cluster(r, codec, data))
     }
 }

@@ -16,9 +16,11 @@
 //!   newest-round fast-forward, the *identical* coded-gradient
 //!   arithmetic as the in-process worker thread, chunked streaming
 //!   replies.
-//! * [`cluster`] — [`SocketCluster`]: the master. Dispatch/collect
-//!   split, escalation deadlines, live re-coding onto surviving
-//!   connections, real per-round byte metering.
+//! * [`cluster`] — [`SocketCluster`]: the master. Handshake, dispatch,
+//!   live re-coding onto surviving connections and real per-round byte
+//!   metering; each round's collect (deadline, drain, escalation,
+//!   decode) is `hetgc_runtime::RoundCollector`, the threaded master's
+//!   own, and yields the same `ClusterRound`.
 //! * [`engine`] — [`SocketEngine`]: `RoundEngine` + `PipelinedEngine`,
 //!   so `hetgc::TrainDriver` and `hetgc::PipelinedDriver` drive TCP
 //!   workers with no call-site changes.
@@ -43,7 +45,7 @@ pub mod spec;
 pub mod worker;
 
 pub use cluster::{
-    export_link_metrics, LinkStats, SocketCluster, SocketListener, SocketRound, DEFAULT_CHUNK_LEN,
+    export_link_metrics, LinkStats, SocketCluster, SocketListener, DEFAULT_CHUNK_LEN,
 };
 pub use conn::Connection;
 pub use engine::SocketEngine;

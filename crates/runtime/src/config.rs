@@ -2,7 +2,7 @@
 //! backend selection.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use hetgc_coding::{CodecBackend, EscalationPolicy, SharedPlanCache};
 
@@ -87,6 +87,24 @@ impl WorkerBehavior {
         match self.throttle_step {
             Some((at, rate)) if iter >= at => Some(rate),
             _ => self.throttle_samples_per_sec,
+        }
+    }
+
+    /// Sleeps out the emulated speed of iteration `iter` for a worker
+    /// owning `ranges`, which began computing at `started`: stretch the
+    /// iteration to the throttle in force, then add the injected delay —
+    /// so the master observes the worker's *emulated* speed.
+    pub fn emulate(&self, iter: usize, ranges: &[(usize, usize)], started: Instant) {
+        if let Some(rate) = self.throttle_at(iter) {
+            let samples: usize = ranges.iter().map(|(lo, hi)| hi - lo).sum();
+            let target = Duration::from_secs_f64(samples as f64 / rate);
+            let compute = started.elapsed();
+            if target > compute {
+                std::thread::sleep(target - compute);
+            }
+        }
+        if !self.extra_delay.is_zero() {
+            std::thread::sleep(self.extra_delay);
         }
     }
 }

@@ -1,105 +1,52 @@
-//! The master: broadcast → collect → decode at the earliest decodable set
-//! → optimize, iterated.
-//!
-//! One layer: [`ThreadedCluster`] — the collect-round engine. It owns
-//! the worker threads, channels and one reusable decode session, and
-//! exposes [`ThreadedCluster::round`] (broadcast params, gather results,
-//! decode or escalate, combine the gradient). This is what the unified
+//! The threaded master: [`ThreadedCluster`] runs one OS thread per
+//! worker, connected to the master by `crossbeam` channels, and keeps
+//! the worker pool's life cycle — spawn, dispatch, re-code (respawn) and
+//! teardown. Each round's collect/decode/escalate step is the shared
+//! [`RoundCollector`](crate::RoundCollector), fed by the workers'
+//! reply channel; the socket master in `hetgc-net` feeds the same
+//! collector from its link readers. This is what the unified
 //! `hetgc::TrainDriver` loop drives through its `ThreadedEngine`.
 //!
 //! The timeout → approximate fallback decision is **not** implemented
-//! here: the cluster holds an `hetgc_coding::EscalatingCodec`, so the
+//! here: the collector holds an `hetgc_coding::EscalatingCodec`, so the
 //! escalation code is the same one the discrete-event simulator consults
-//! at its round end — one ladder, two execution paths.
+//! at its round end — one ladder, every execution path.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+#[cfg(test)]
+use std::time::Instant;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use hetgc_cluster::PartitionAssignment;
 use hetgc_coding::{
-    AnyCodec, ApproxCodec, CodecBackend, CodecSession, CodingMatrix, CompiledCodec, DecodePlan,
-    EscalatingCodec, GradientCodec, GroupCodec,
+    AnyCodec, ApproxCodec, CodecBackend, CodingMatrix, CompiledCodec, EscalatingCodec,
+    GradientCodec, GroupCodec,
 };
 use hetgc_ml::{Dataset, Model};
 use hetgc_obs::{Phase, Recorder};
 
+use crate::collect::{ClusterRound, RoundCollector};
 use crate::config::RuntimeConfig;
 use crate::error::RuntimeError;
 use crate::message::{FromWorker, ToWorker};
 use crate::worker::{worker_main, WorkerContext};
 
-/// One completed collect round of a [`ThreadedCluster`].
-#[derive(Debug, Clone)]
-pub struct ClusterRound {
-    /// The decoded aggregated gradient `Σ_w a_w · g̃_w`, un-normalized
-    /// (the caller divides by the dataset size).
-    pub gradient: Vec<f64>,
-    /// Decode residual of the round: `0.0` for exact decodes, positive
-    /// when the escalation ladder's approximate stage rescued it.
-    pub residual: f64,
-    /// How many worker results carried decode weight.
-    pub results_used: usize,
-    /// Wall-clock duration of the round (broadcast → decoded gradient).
-    pub elapsed: Duration,
-    /// Per-worker compute seconds reported this round (0 for workers
-    /// whose result never arrived).
-    pub busy: Vec<f64>,
-    /// Per-worker compute seconds of *late* results — replies from an
-    /// earlier round that reached the master only after it had decoded
-    /// (0 when none). Late results carry no gradient weight, but their
-    /// timings are real observations: without them a consistent
-    /// within-budget straggler would be invisible to throughput
-    /// telemetry. Each late timing is reported exactly once.
-    pub late_busy: Vec<f64>,
-    /// Bytes of coded-gradient payload allocated for this round (one
-    /// `Arc<[f64]>` per reply the master consumed — the data plane's only
-    /// steady-state allocation). Surfaced as `RoundRecord.alloc_bytes`.
-    pub alloc_bytes: u64,
-    /// Decode-session buffer-pool hits this round (recycled elimination
-    /// buffers). Surfaced as `RoundRecord.pool_hits`.
-    pub pool_hits: u64,
-}
-
 /// A running coded worker pool: one OS thread per worker, channels to the
-/// master, and a reusable decode session. Spawned by
-/// [`ThreadedCluster::start`]; each [`ThreadedCluster::round`] runs one
+/// master, and the round collector that decodes their replies. Spawned
+/// by [`ThreadedCluster::start`]; each [`ThreadedCluster::round`] runs one
 /// broadcast → collect → decode/escalate → combine cycle. Threads are
 /// shut down and joined on drop (or explicitly via
 /// [`ThreadedCluster::shutdown`]).
 #[derive(Debug)]
 pub struct ThreadedCluster<M> {
-    codec: EscalatingCodec,
     model: Arc<M>,
     data: Arc<Dataset>,
     config: RuntimeConfig,
-    timeout: Option<Duration>,
     to_workers: Vec<Sender<ToWorker>>,
     from_rx: Option<Receiver<FromWorker>>,
     handles: Vec<std::thread::JoinHandle<()>>,
-    session: CodecSession,
-    /// The master's per-worker recycle ring: one arrival slot per worker,
-    /// reused round over round. An arriving payload *moves* into its slot
-    /// (no clone); the previous round's payloads are released when the
-    /// next collect rearms the slots.
-    received: Vec<Option<Arc<[f64]>>>,
-    /// The dispatched-but-not-yet-collected round (tag + dispatch time),
-    /// for the split [`ThreadedCluster::dispatch`] /
-    /// [`ThreadedCluster::collect`] cycle.
-    inflight: Option<(usize, Instant)>,
-    compute_seconds: Vec<f64>,
-    /// Compute seconds from stale (previous-round) replies observed
-    /// while waiting on the current round, per worker — surfaced once
-    /// through [`ClusterRound::late_busy`].
-    late_compute_seconds: Vec<f64>,
-    /// Internal round tag, strictly increasing across [`ThreadedCluster::round`]
-    /// calls — workers echo it back, so stale results from ANY earlier
-    /// round (including a previous driver run over the same cluster) are
-    /// filtered out regardless of the caller's numbering.
-    round_seq: usize,
-    /// Flight recorder for the master's hot phases (dispatch, collect,
-    /// decode, recode); `None` until attached.
-    recorder: Option<Recorder>,
+    collector: RoundCollector<Arc<[f64]>>,
 }
 
 /// Spawns one worker thread per codec row, returning the channel ends
@@ -120,27 +67,13 @@ fn spawn_workers<M>(
 where
     M: Model + Send + Sync + 'static,
 {
-    let assignment = PartitionAssignment::even(data.len(), codec.partitions()).map_err(|e| {
-        RuntimeError::InvalidConfig {
-            reason: format!("partitioning failed: {e}"),
-        }
-    })?;
-    let m = codec.workers();
+    let shards = worker_shards(codec, data.len())?;
     let (from_tx, from_rx) = unbounded::<FromWorker>();
-    let mut to_workers: Vec<Sender<ToWorker>> = Vec::with_capacity(m);
-    let mut handles = Vec::with_capacity(m);
-    for w in 0..m {
+    let mut to_workers: Vec<Sender<ToWorker>> = Vec::with_capacity(shards.len());
+    let mut handles = Vec::with_capacity(shards.len());
+    for (w, (ranges, coefficients)) in shards.into_iter().enumerate() {
         let (to_tx, to_rx) = unbounded::<ToWorker>();
         to_workers.push(to_tx);
-        // The codec's precompiled CSR row is exactly the worker's
-        // marching orders: which partitions, with which coefficients.
-        let compiled = codec.base().as_compiled();
-        let ranges: Vec<(usize, usize)> = compiled
-            .support_of(w)
-            .iter()
-            .map(|&p| assignment.range(p).expect("support within k"))
-            .collect();
-        let coefficients: Vec<f64> = compiled.coefficients_of(w).to_vec();
         let ctx = WorkerContext {
             index: w,
             model: Arc::clone(model),
@@ -157,8 +90,34 @@ where
     Ok((to_workers, from_rx, handles))
 }
 
-/// Compiles `code` into the backend named by `config.backend`, then wires
-/// the escalation policy on top.
+/// One worker's marching orders: the sample ranges of the partitions it
+/// owns and the aligned coefficients of its codec row.
+pub type Shard = (Vec<(usize, usize)>, Vec<f64>);
+
+/// Every worker's [`Shard`] under `codec`, with `samples` samples split
+/// evenly into its partitions — read off the codec's precompiled CSR
+/// rows. The threaded spawn and the socket handshake and re-code all
+/// assign work through this.
+///
+/// # Errors
+///
+/// [`RuntimeError::InvalidConfig`] when there are fewer samples than
+/// partitions.
+pub fn worker_shards(codec: &EscalatingCodec, samples: usize) -> Result<Vec<Shard>, RuntimeError> {
+    let assignment = PartitionAssignment::even(samples, codec.partitions()).map_err(|e| {
+        RuntimeError::InvalidConfig {
+            reason: format!("partitioning failed: {e}"),
+        }
+    })?;
+    let compiled = codec.base().as_compiled();
+    let shard = |w| {
+        let support = compiled.support_of(w).iter();
+        let ranges = support.map(|&p| assignment.range(p).expect("support within k"));
+        (ranges.collect(), compiled.coefficients_of(w).to_vec())
+    };
+    Ok((0..codec.workers()).map(shard).collect())
+}
+
 /// Compiles `code` into the backend named by [`RuntimeConfig::backend`]
 /// and wires [`RuntimeConfig::escalation`] on top — the one codec
 /// construction every master (threaded or socket) shares.
@@ -214,51 +173,31 @@ where
         config: &RuntimeConfig,
     ) -> Result<Self, RuntimeError> {
         let codec = build_codec(code, config)?;
-        Self::with_codec(codec, model, data, config)
-    }
-
-    /// [`ThreadedCluster::start`] over an already-compiled codec.
-    fn with_codec(
-        codec: EscalatingCodec,
-        model: Arc<M>,
-        data: Arc<Dataset>,
-        config: &RuntimeConfig,
-    ) -> Result<Self, RuntimeError> {
         let (to_workers, from_rx, handles) = spawn_workers(&codec, &model, &data, config)?;
-        let m = codec.workers();
-        let session = codec.session();
         Ok(ThreadedCluster {
-            codec,
+            collector: RoundCollector::new(codec, model.num_params(), config.effective_timeout()),
             model,
             data,
             config: config.clone(),
-            timeout: config.effective_timeout(),
             to_workers,
             from_rx: Some(from_rx),
             handles,
-            session,
-            received: vec![None; m],
-            inflight: None,
-            compute_seconds: vec![0.0; m],
-            late_compute_seconds: vec![0.0; m],
-            round_seq: 0,
-            recorder: None,
         })
     }
 
     /// Number of workers.
     pub fn workers(&self) -> usize {
-        self.codec.workers()
+        self.codec().workers()
     }
 
     /// Number of data partitions.
     pub fn partitions(&self) -> usize {
-        self.codec.partitions()
+        self.codec().partitions()
     }
 
     /// The escalation-wrapped codec the master decodes with.
     pub fn codec(&self) -> &EscalatingCodec {
-        &self.codec
+        self.collector.codec()
     }
 
     /// The model the workers compute gradients of.
@@ -275,21 +214,21 @@ where
     /// multi-job scheduler merges across tenants into a fleet-wide
     /// data-plane report ([`hetgc_coding::PoolStats::merge`]).
     pub fn pool_stats(&self) -> hetgc_coding::PoolStats {
-        self.session.pool().stats()
+        self.collector.pool_stats()
     }
 
     /// Replaces the round deadline in place — the hook a learned
     /// escalation deadline feeds, superseding whatever the configuration
     /// carried.
     pub fn set_timeout(&mut self, timeout: Duration) {
-        self.timeout = Some(timeout);
+        self.collector.set_timeout(timeout);
     }
 
     /// Installs a flight recorder: every subsequent round emits
-    /// dispatch/collect/decode spans (and recode spans on hot swaps)
-    /// into it.
+    /// dispatch/collect/decode spans and one arrival instant per in-time
+    /// reply (recode spans on hot swaps) into it.
     pub fn attach_recorder(&mut self, recorder: Recorder) {
-        self.recorder = Some(recorder);
+        self.collector.attach_recorder(recorder);
     }
 
     /// Attaches cache/solve metric handles to the decode codec (fanned
@@ -297,7 +236,7 @@ where
     /// [`ThreadedCluster::recode`] builds a fresh codec — re-attach
     /// after hot swaps if continuity matters.
     pub fn attach_codec_metrics(&mut self, metrics: hetgc_obs::CodecMetrics) {
-        self.codec.attach_metrics(metrics);
+        self.collector.codec_mut().attach_metrics(metrics);
     }
 
     /// Hot-swaps a rebuilt coding strategy into the running cluster: the
@@ -317,28 +256,17 @@ where
     /// [`RuntimeError::InvalidConfig`] when the new matrix cannot be
     /// compiled or partitioned; the old pool keeps running in that case.
     pub fn recode(&mut self, code: CodingMatrix) -> Result<(), RuntimeError> {
-        let _recode_span = self.recorder.as_ref().map(|r| r.span(Phase::Recode));
+        let recorder = self.collector.recorder().cloned();
+        let _recode_span = recorder.as_ref().map(|r| r.span(Phase::Recode));
         let codec = build_codec(code, &self.config)?;
         // Validate the new partitioning BEFORE tearing the old pool down.
         let (to_workers, from_rx, handles) =
             spawn_workers(&codec, &self.model, &self.data, &self.config)?;
-        // Retire the old pool.
-        for tx in &self.to_workers {
-            let _ = tx.send(ToWorker::Shutdown);
-        }
-        self.from_rx = None; // old workers see the hang-up
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+        self.retire_workers();
         self.to_workers = to_workers;
         self.from_rx = Some(from_rx);
         self.handles = handles;
-        self.session = codec.session();
-        self.compute_seconds = vec![0.0; codec.workers()];
-        self.late_compute_seconds = vec![0.0; codec.workers()];
-        self.received = vec![None; codec.workers()];
-        self.inflight = None;
-        self.codec = codec;
+        self.collector.reshape(codec);
         Ok(())
     }
 
@@ -387,181 +315,33 @@ where
     ///   flight (collect it first).
     /// * [`RuntimeError::WorkerLost`] when a worker thread is gone.
     pub fn dispatch(&mut self, params: &[f64]) -> Result<(), RuntimeError> {
-        if self.inflight.is_some() {
-            return Err(RuntimeError::InvalidConfig {
-                reason: "dispatch while a round is in flight (collect it first)".into(),
-            });
-        }
-        let _dispatch_span = self.recorder.as_ref().map(|r| r.span(Phase::Dispatch));
-        self.round_seq += 1;
-        let tag = self.round_seq;
-        let shared = Arc::new(params.to_vec());
-        for (w, tx) in self.to_workers.iter().enumerate() {
-            tx.send(ToWorker::Round {
-                iteration: tag,
-                params: Arc::clone(&shared),
-            })
-            .map_err(|_| RuntimeError::WorkerLost { worker: w })?;
-        }
-        self.inflight = Some((tag, Instant::now()));
-        Ok(())
+        self.collector.dispatch(|seq| {
+            let shared = Arc::new(params.to_vec());
+            for (w, tx) in self.to_workers.iter().enumerate() {
+                tx.send(ToWorker::Round {
+                    iteration: seq as usize,
+                    params: Arc::clone(&shared),
+                })
+                .map_err(|_| RuntimeError::WorkerLost { worker: w })?;
+            }
+            Ok(())
+        })
     }
 
-    /// Collects the round started by the last [`ThreadedCluster::dispatch`]:
-    /// streams results into the decode session, escalates through the
-    /// policy ladder at the deadline (measured from the dispatch), and
-    /// combines the decoded gradient. `iteration` is the caller's 1-based
-    /// round number, used for error reporting only.
-    ///
-    /// Deadline semantics under pipelining: the escalation window runs
-    /// from the *dispatch* — the moment the workers started computing —
-    /// not from when the master begins collecting. A master that arrives
-    /// late (e.g. after the overlapped step/loss work of a pipelined
-    /// round) first drains every reply already queued in the channel, so
-    /// workers keep their full window regardless of master-side delay;
-    /// only escalation itself fires "late", at collect entry instead of
-    /// exactly at the deadline. Size the timeout to the worker window, as
-    /// with the sequential round.
+    /// Collects the round started by the last [`ThreadedCluster::dispatch`]
+    /// through the shared [`RoundCollector::collect`]: decode at the
+    /// earliest decodable set, or at the deadline (measured from the
+    /// dispatch, so a late collect still gives the workers their full
+    /// window) drain the queue and escalate. `iteration` is the caller's
+    /// 1-based round number, used for error reporting only.
     ///
     /// # Errors
     ///
     /// * [`RuntimeError::InvalidConfig`] when no round is in flight.
-    /// * [`RuntimeError::Undecodable`] / [`RuntimeError::WorkerLost`] as
-    ///   for [`ThreadedCluster::round`].
+    /// * [`RuntimeError::Undecodable`] as for [`ThreadedCluster::round`].
     pub fn collect(&mut self, iteration: usize) -> Result<ClusterRound, RuntimeError> {
-        let (tag, started) = self
-            .inflight
-            .take()
-            .ok_or_else(|| RuntimeError::InvalidConfig {
-                reason: "collect without a dispatched round".into(),
-            })?;
-
-        let collect_span = self.recorder.as_ref().map(|r| r.span(Phase::Collect));
-        self.session.reset();
-        let pool_hits_before = self.session.pool().hits();
-        // Rearm the per-worker slots: releasing the previous round's
-        // payloads here is the ring's recycle point.
-        self.received.iter_mut().for_each(|slot| *slot = None);
-        self.compute_seconds.iter_mut().for_each(|c| *c = 0.0);
         let from_rx = self.from_rx.as_ref().expect("receiver lives until drop");
-        // `None` = the session decoded (the plan is borrowed from its
-        // reusable slot); `Some` = the escalation ladder produced an owned
-        // fallback plan.
-        let mut fallback: Option<DecodePlan> = None;
-        loop {
-            // The deadline is round-relative (measured from the dispatch):
-            // stale or slow arrivals never extend the window.
-            let recv_result = match self.timeout {
-                Some(t) => match t.checked_sub(started.elapsed()) {
-                    Some(remaining) => from_rx.recv_timeout(remaining).map_err(|_| ()),
-                    None => Err(()), // deadline already passed
-                },
-                None => from_rx.recv().map_err(|_| ()),
-            };
-            let msg = match recv_result {
-                Ok(msg) => msg,
-                Err(()) => {
-                    // Deadline reached (or every worker hung up) without
-                    // an exact decode. Results already sitting in the
-                    // channel arrived in time — drain them first (an
-                    // exact decode may be waiting in the queue), then
-                    // hand the survivor set to the shared escalation
-                    // ladder. Exact ceilings decline and the round
-                    // surfaces as undecodable.
-                    let mut drained = false;
-                    while let Ok(msg) = from_rx.try_recv() {
-                        if msg.iteration != tag {
-                            // A late reply to an earlier round: no
-                            // gradient weight, but the timing is a real
-                            // throughput observation.
-                            self.late_compute_seconds[msg.worker] = msg.compute_seconds;
-                            continue;
-                        }
-                        let worker = msg.worker;
-                        self.compute_seconds[worker] = msg.compute_seconds;
-                        self.received[worker] = Some(msg.coded);
-                        if self.session.push_arrival(worker)? {
-                            drained = true;
-                            break;
-                        }
-                    }
-                    if drained {
-                        break;
-                    }
-                    let survivors: Vec<usize> = self
-                        .received
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(w, slot)| slot.is_some().then_some(w))
-                        .collect();
-                    if let Some(plan) = self.codec.fallback_plan(&survivors) {
-                        fallback = Some(plan);
-                        break;
-                    }
-                    return Err(RuntimeError::Undecodable {
-                        iteration,
-                        received: survivors.len(),
-                    });
-                }
-            };
-            if msg.iteration != tag {
-                // Stale result from an earlier round: keep its timing
-                // for telemetry, discard its payload.
-                self.late_compute_seconds[msg.worker] = msg.compute_seconds;
-                continue;
-            }
-            let worker = msg.worker;
-            self.compute_seconds[worker] = msg.compute_seconds;
-            self.received[worker] = Some(msg.coded);
-            if self.session.push_arrival(worker)? {
-                break;
-            }
-        }
-        drop(collect_span);
-        let plan = match fallback.as_ref() {
-            Some(plan) => plan,
-            None => self
-                .session
-                .decoded_plan()
-                .expect("collect loop broke on a decode"),
-        };
-
-        // g = Σ a_w · g̃_w (un-normalized), applied straight over the
-        // per-worker arrival slots — no clone of any coded payload — in
-        // one whole-round pass through the blocked decode kernel.
-        let decode_span = self.recorder.as_ref().map(|r| r.span(Phase::Decode));
-        let mut gradient = vec![0.0; self.model.num_params()];
-        plan.apply_rows_into(|w| self.received[w].as_deref(), &mut gradient)?;
-        drop(decode_span);
-        let used = plan.len();
-        let residual = plan.residual();
-        // Every consumed reply cost exactly one worker-side payload
-        // allocation: that is the round's data-plane allocation bill.
-        let alloc_bytes = self
-            .received
-            .iter()
-            .flatten()
-            .map(|coded| std::mem::size_of_val(&coded[..]) as u64)
-            .sum();
-        // Late timings are reported exactly once, and only for workers
-        // that did not also reply in time this round.
-        let mut late_busy = vec![0.0; self.late_compute_seconds.len()];
-        for (w, late) in self.late_compute_seconds.iter_mut().enumerate() {
-            if self.compute_seconds[w] == 0.0 {
-                late_busy[w] = *late;
-            }
-            *late = 0.0;
-        }
-        Ok(ClusterRound {
-            gradient,
-            residual,
-            results_used: used,
-            elapsed: started.elapsed(),
-            busy: self.compute_seconds.clone(),
-            late_busy,
-            alloc_bytes,
-            pool_hits: self.session.pool().hits() - pool_hits_before,
-        })
+        self.collector.collect(iteration, from_rx)
     }
 
     /// Shuts the worker threads down and joins them. Equivalent to
@@ -569,8 +349,9 @@ where
     pub fn shutdown(self) {}
 }
 
-impl<M> Drop for ThreadedCluster<M> {
-    fn drop(&mut self) {
+impl<M> ThreadedCluster<M> {
+    /// Stops and joins the current worker threads.
+    fn retire_workers(&mut self) {
         for tx in &self.to_workers {
             let _ = tx.send(ToWorker::Shutdown);
         }
@@ -579,6 +360,12 @@ impl<M> Drop for ThreadedCluster<M> {
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
+    }
+}
+
+impl<M> Drop for ThreadedCluster<M> {
+    fn drop(&mut self) {
+        self.retire_workers();
     }
 }
 

@@ -15,6 +15,14 @@
 //! while injected workers are dead — the paper's fault-tolerance claim
 //! made concrete.
 //!
+//! That per-round decode rule lives in one place, [`RoundCollector`]:
+//! deadline, drain, escalation ladder, late timings and the decode over
+//! the arrival slots, fed by a `crossbeam` channel of [`Reply`]s. The
+//! threaded master ([`ThreadedCluster`]) and the TCP master in
+//! `hetgc-net` both feed it and both return its [`ClusterRound`]; they
+//! keep only spawning, dispatch, re-coding and teardown. Workers of
+//! either kind compute their reply with [`compute_coded`].
+//!
 //! ```
 //! use std::sync::Arc;
 //!
@@ -44,13 +52,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod collect;
 mod config;
 mod error;
 mod executor;
 mod message;
 mod worker;
 
+pub use collect::{ClusterRound, Reply, RoundCollector};
 pub use config::{RuntimeConfig, WorkerBehavior};
 pub use error::RuntimeError;
-pub use executor::{build_codec, ClusterRound, ThreadedCluster};
+pub use executor::{build_codec, worker_shards, Shard, ThreadedCluster};
 pub use message::{FromWorker, ToWorker};
+pub use worker::compute_coded;

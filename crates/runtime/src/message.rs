@@ -7,12 +7,14 @@
 
 use std::sync::Arc;
 
+use crate::collect::Reply;
+
 /// Master → worker messages.
 #[derive(Debug, Clone)]
 pub enum ToWorker {
     /// Start one computation round on the given parameters.
     Round {
-        /// The global iteration number.
+        /// The master's round tag, echoed back as the reply's `seq`.
         iteration: usize,
         /// Current model parameters (shared, read-only).
         params: Arc<Vec<f64>>,
@@ -21,25 +23,14 @@ pub enum ToWorker {
     Shutdown,
 }
 
-/// Worker → master result message.
-#[derive(Debug, Clone)]
-pub struct FromWorker {
-    /// The sending worker's index.
-    pub worker: usize,
-    /// Which iteration this result belongs to (stale results are dropped).
-    pub iteration: usize,
-    /// The coded gradient `g̃_w = Σ_j b_wj·g_j`, shared rather than owned:
-    /// the worker allocates it exactly once per round (freezing its
-    /// reusable scratch buffer into the `Arc`) and the master moves the
-    /// handle into its per-worker arrival slot — no master-side clone, no
-    /// second copy anywhere on the wire.
-    pub coded: Arc<[f64]>,
-    /// Effective compute duration from round receipt to reply — native
-    /// gradient time stretched by throttle emulation and injected delay.
-    /// This is what a master can actually observe, so resource metrics
-    /// and throughput telemetry both see the worker's *emulated* speed.
-    pub compute_seconds: f64,
-}
+/// Worker → master result message: a [`Reply`] whose coded gradient is
+/// shared rather than owned. The worker allocates it exactly once per
+/// round (freezing its reusable scratch buffer into the `Arc`) and the
+/// master moves the handle into its per-worker arrival slot — no
+/// master-side clone, no second copy anywhere on the wire. The worker
+/// echoes the round tag as `seq`; the transport fields (`wire_error`,
+/// `payload_bytes`, `arrived`) stay zero/`None` in process.
+pub type FromWorker = Reply<Arc<[f64]>>;
 
 #[cfg(test)]
 mod tests {
@@ -69,12 +60,15 @@ mod tests {
     fn from_worker_fields() {
         let m = FromWorker {
             worker: 2,
-            iteration: 5,
+            seq: 5,
             coded: Arc::from([0.5].as_slice()),
             compute_seconds: 0.1,
+            wire_error: 0.0,
+            payload_bytes: 0,
+            arrived: None,
         };
         assert_eq!(m.worker, 2);
-        assert_eq!(m.iteration, 5);
+        assert_eq!(m.seq, 5);
         assert_eq!(&m.coded[..], &[0.5]);
         // Cloning the message shares the payload, it does not copy it.
         let copy = m.clone();

@@ -2,7 +2,9 @@
 //! encode with the worker's row of `B`, reply to the master.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+#[cfg(test)]
+use std::time::Duration;
+use std::time::Instant;
 
 use crossbeam::channel::{Receiver, Sender};
 use hetgc_ml::{Dataset, Model};
@@ -29,11 +31,9 @@ pub(crate) struct WorkerContext<M> {
 /// The worker main loop. Returns when the master hangs up or sends
 /// [`ToWorker::Shutdown`].
 pub(crate) fn worker_main<M: Model>(ctx: WorkerContext<M>) {
-    let samples: usize = ctx.ranges.iter().map(|(lo, hi)| hi - lo).sum();
-    // Reusable compute buffers: the per-partition gradient lands in
-    // `partial` (via `gradient_into`, no allocation) and accumulates into
-    // `coded`. The only data-plane allocation a worker performs per round
-    // is freezing `coded` into the `Arc<[f64]>` reply payload.
+    // Reusable compute buffers (see `compute_coded`). The only data-plane
+    // allocation a worker performs per round is freezing `coded` into the
+    // `Arc<[f64]>` reply payload.
     let mut coded: Vec<f64> = Vec::new();
     let mut partial: Vec<f64> = Vec::new();
     while let Ok(mut msg) = ctx.inbox.recv() {
@@ -56,34 +56,21 @@ pub(crate) fn worker_main<M: Model>(ctx: WorkerContext<M>) {
             continue;
         }
         let started = Instant::now();
-        coded.clear();
-        coded.resize(ctx.model.num_params(), 0.0);
-        partial.clear();
-        partial.resize(ctx.model.num_params(), 0.0);
-        for (&range, &coef) in ctx.ranges.iter().zip(&ctx.coefficients) {
-            ctx.model
-                .gradient_into(&params, &ctx.data, range, &mut partial);
-            for (c, gi) in coded.iter_mut().zip(&partial) {
-                *c += coef * gi;
-            }
-        }
-        let compute = started.elapsed();
-        // Throttle: stretch the iteration so that samples/elapsed matches
-        // the configured rate — this *is* the heterogeneity emulation
-        // (with `throttle_step`, the rate in force depends on the
-        // iteration: a drifting VM).
-        if let Some(rate) = ctx.behavior.throttle_at(iteration) {
-            let target = Duration::from_secs_f64(samples as f64 / rate);
-            if target > compute {
-                std::thread::sleep(target - compute);
-            }
-        }
-        if !ctx.behavior.extra_delay.is_zero() {
-            std::thread::sleep(ctx.behavior.extra_delay);
-        }
+        compute_coded(
+            &*ctx.model,
+            &ctx.data,
+            &ctx.ranges,
+            &ctx.coefficients,
+            &params,
+            &mut coded,
+            &mut partial,
+        );
+        // This *is* the heterogeneity emulation (with `throttle_step`,
+        // the rate in force depends on the iteration: a drifting VM).
+        ctx.behavior.emulate(iteration, &ctx.ranges, started);
         let reply = FromWorker {
             worker: ctx.index,
-            iteration,
+            seq: iteration as u64,
             // The round's one data-plane allocation: freeze the scratch
             // into a shared payload (the scratch itself is reused).
             coded: Arc::from(coded.as_slice()),
@@ -92,9 +79,39 @@ pub(crate) fn worker_main<M: Model>(ctx: WorkerContext<M>) {
             // master's telemetry observes the worker's emulated speed,
             // exactly what a real master would measure.
             compute_seconds: started.elapsed().as_secs_f64(),
+            wire_error: 0.0,
+            payload_bytes: 0,
+            arrived: None,
         };
         if ctx.outbox.send(reply).is_err() {
             return; // master gone
+        }
+    }
+}
+
+/// `coded = Σ_p coef_p · ∇L(params; range p)` into reusable scratch: the
+/// per-range gradient lands in `partial` (via `gradient_into`, no
+/// allocation) and accumulates into `coded` in range order. Every worker
+/// — thread or `hetgc-worker` process — computes its reply with this one
+/// function, which is what makes socket and threaded runs decode to the
+/// same gradients bit for bit.
+pub fn compute_coded<M: Model + ?Sized>(
+    model: &M,
+    data: &Dataset,
+    ranges: &[(usize, usize)],
+    coefficients: &[f64],
+    params: &[f64],
+    coded: &mut Vec<f64>,
+    partial: &mut Vec<f64>,
+) {
+    coded.clear();
+    coded.resize(model.num_params(), 0.0);
+    partial.clear();
+    partial.resize(model.num_params(), 0.0);
+    for (&range, &coef) in ranges.iter().zip(coefficients) {
+        model.gradient_into(params, data, range, partial);
+        for (c, gi) in coded.iter_mut().zip(partial.iter()) {
+            *c += coef * gi;
         }
     }
 }
@@ -145,7 +162,7 @@ mod tests {
         .unwrap();
         let reply = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(reply.worker, 0);
-        assert_eq!(reply.iteration, 1);
+        assert_eq!(reply.seq, 1);
         assert_eq!(reply.coded.len(), 3);
         // coefficient 2 on both halves = 2 × full gradient.
         let mut rng = StdRng::seed_from_u64(3);
